@@ -14,7 +14,14 @@ from .classifiers import (
 from .eigenspace import Eigenspace, compute_eigenspace, project, reconstruct
 from .errors import FacemlpError
 from .evaluator import EvaluationReport, Protocol, evaluate_all, render_report
-from .imageio import GrayImage, Sample, load_manifest, parse_pgm, to_vector
+from .imageio import (
+    GrayImage,
+    Sample,
+    generate_synthetic,
+    load_manifest,
+    parse_pgm,
+    to_vector,
+)
 from .mlp import Topology, TrainingConfig, TrainingTrace, Weights, train
 from .parallel import PoolConfig, TrainingJob, WeightStore, persist, run_pool
 
@@ -25,8 +32,8 @@ __all__ = [
     "classify_ocon", "train_acon", "train_ocon", "verify",
     "Eigenspace", "compute_eigenspace", "project", "reconstruct",
     "FacemlpError", "EvaluationReport", "Protocol", "evaluate_all",
-    "render_report", "GrayImage", "Sample", "load_manifest", "parse_pgm",
-    "to_vector", "Topology", "TrainingConfig", "TrainingTrace", "Weights",
-    "train", "PoolConfig", "TrainingJob", "WeightStore", "persist",
-    "run_pool", "__version__",
+    "render_report", "GrayImage", "Sample", "generate_synthetic",
+    "load_manifest", "parse_pgm", "to_vector", "Topology", "TrainingConfig",
+    "TrainingTrace", "Weights", "train", "PoolConfig", "TrainingJob",
+    "WeightStore", "persist", "run_pool", "__version__",
 ]

@@ -3,9 +3,8 @@
 The d x d image covariance is never formed: with n training vectors the
 n x n Gram matrix of centered vectors has the same nonzero eigenvalues,
 and each of its eigenvectors maps to a covariance eigenvector ("eigenface")
-through the data matrix. The eigendecomposition itself is a dependency-free
-cyclic Jacobi sweep, adequate for the few-hundred-vector sets this package
-targets.
+through the data matrix. The Gram matrix is eigendecomposed by LAPACK's
+symmetric solver through numpy.linalg.eigh.
 
 Eigenvalues are stored on the 1/n covariance scale so persisted spaces are
 reproducible regardless of how the caller normalizes.
@@ -13,7 +12,6 @@ reproducible regardless of how the caller normalizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,13 +22,11 @@ from .errors import (
     FileError,
     FormatError,
     InsufficientData,
-    NoConvergence,
     NotSymmetric,
 )
 
 DEFAULT_COMPONENTS = 40
 NEGLIGIBLE_EIGENVALUE = 1e-12
-_MAX_SWEEPS = 100
 
 
 @dataclass(eq=False)
@@ -52,76 +48,22 @@ class Eigenspace:
 
 
 def eig_symmetric(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a real symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecompose a real symmetric matrix with LAPACK (numpy.linalg.eigh).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues descending and
     eigenvectors as orthonormal columns, so that a == V diag(w) V^T within
-    rounding. Sweeps stop once the off-diagonal Frobenius norm drops
-    below tol.
+    rounding. Tied eigenvalues keep LAPACK's relative order. tol must be
+    positive; it is validated only, and kept for API compatibility.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric("input must be a square matrix")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = a.shape[0]
-    if n and np.max(np.abs(a - a.T)) > 1e-12:
+    if a.shape[0] and np.max(np.abs(a - a.T)) > 1e-12:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
 
-    work = a.copy()
-    vectors = np.eye(n)
-    if n < 2:
-        return work.diagonal().copy(), vectors
-
-    # The norm must be summed over the off-diagonal entries alone.
-    # Subtracting the diagonal's sum of squares from the total cancels
-    # catastrophically and floors the measurement near eps * ||a||_F^2,
-    # which can sit far above tol.
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(_MAX_SWEEPS):
-        if math.sqrt(np.sum(work[off_mask] ** 2)) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                app, aqq = work[p, p], work[q, q]
-                # A rotation this small cannot move anything representable
-                # off the diagonal; performing it anyway lets near-equal
-                # diagonal pairs trade full-angle rotations forever.
-                if abs(apq) <= 1e-14 * (abs(app) + abs(aqq)):
-                    work[p, q] = 0.0
-                    work[q, p] = 0.0
-                    continue
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                # Exact values of the rotated 2x2 block, bypassing roundoff.
-                work[p, p] = app - t * apq
-                work[q, q] = aqq + t * apq
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-
-                vec_p = vectors[:, p].copy()
-                vec_q = vectors[:, q].copy()
-                vectors[:, p] = c * vec_p - s * vec_q
-                vectors[:, q] = s * vec_p + c * vec_q
-    else:
-        raise NoConvergence(f"Jacobi sweeps exceeded {_MAX_SWEEPS}")
-
-    values = work.diagonal().copy()
+    values, vectors = np.linalg.eigh(a)
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]
 

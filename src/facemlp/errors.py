@@ -45,10 +45,6 @@ class NotSymmetric(FacemlpError):
     """Matrix handed to the symmetric eigensolver is not symmetric."""
 
 
-class NoConvergence(FacemlpError):
-    """Iterative solver failed to converge within its sweep budget."""
-
-
 class DimensionMismatch(FacemlpError):
     """Vector or matrix dimensions are inconsistent."""
 

@@ -79,8 +79,9 @@ class WeightStore:
 class JobOutcome:
     """Result slot for one job; exactly one of model/error is set.
 
-    queue_wait is the gap between submission and the moment a worker
-    picked the job up; compute_seconds is pure training time.
+    queue_wait is the gap between the job becoming runnable (its bucket
+    submitted and the bucket's previous job done) and the moment a worker
+    picked it up; compute_seconds is pure training time.
     """
 
     class_id: int
@@ -138,7 +139,18 @@ def _run_job(job: TrainingJob, submitted_at: float):
 
 
 def _run_job_list(jobs: list[TrainingJob], submitted_at: float):
-    return [_run_job(job, submitted_at) for job in jobs]
+    """Run a bucket's jobs in order.
+
+    A job cannot start before its predecessor in the bucket finishes, so
+    its queue wait counts from the later of the bucket's submission and
+    that predecessor's end, not from the submission alone.
+    """
+    results = []
+    ready_at = submitted_at
+    for job in jobs:
+        results.append(_run_job(job, ready_at))
+        ready_at = time.monotonic()
+    return results
 
 
 def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:

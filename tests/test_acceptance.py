@@ -186,7 +186,7 @@ def test_criterion_3_eigenspace_properties():
         space = compute_eigenspace(vectors, m=19)
         gram = space.basis.T @ space.basis
         ortho = np.max(np.abs(gram - np.eye(space.components)))
-        assert ortho < 1e-8
+        assert ortho < 1e-12
 
         mean_coeffs = project(space, space.mean)
         assert np.max(np.abs(mean_coeffs)) < 1e-9

@@ -122,6 +122,15 @@ def test_train_with_worker_pool(tmp_path):
     assert (tmp_path / "pool" / "class_2.wts").exists()
 
 
+def test_single_worker_train_has_no_queue_warning(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--classes", "5", "--train",
+                 "4", "--test", "2", "--side", "8", "--seed", "3"]) == 0
+    assert run_train(tmp_path, data, store_arg(tmp_path), "--workers",
+                     "1") == 0
+    assert "queue wait" not in capsys.readouterr().err
+
+
 def test_full_scale_flags_accepted(tmp_path, capsys):
     data = synth(tmp_path)
     assert main(["train", "--data", str(data), "--store",

@@ -46,6 +46,14 @@ def test_eig_identity_and_diagonal():
     np.testing.assert_allclose(np.abs(vectors), np.eye(3)[:, [0, 2, 1]])
 
 
+def test_eig_empty_and_scalar():
+    values, vectors = eig_symmetric(np.zeros((0, 0)))
+    assert values.shape == (0,) and vectors.shape == (0, 0)
+    values, vectors = eig_symmetric(np.array([[3.0]]))
+    np.testing.assert_array_equal(values, [3.0])
+    np.testing.assert_array_equal(np.abs(vectors), [[1.0]])
+
+
 def test_eig_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         eig_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -77,7 +85,7 @@ def test_eigenvalues_match_covariance_route():
 def test_basis_is_orthonormal():
     space = compute_eigenspace(training_vectors(15, 40, seed=3), m=10)
     gram = space.basis.T @ space.basis
-    np.testing.assert_allclose(gram, np.eye(space.components), atol=1e-10)
+    np.testing.assert_allclose(gram, np.eye(space.components), atol=1e-12)
 
 
 def test_basis_sign_convention():
@@ -97,6 +105,29 @@ def test_duplicate_vectors_shrink_rank():
     v = training_vectors(1, 20, seed=1)[0]
     space = compute_eigenspace([v, v, v + 1e-3, v - 1e-3], m=10)
     assert space.components <= 2
+
+
+def test_rank_deficient_gram_keeps_orthonormal_basis():
+    # Four distinct vectors, each three times: the 12 x 12 Gram matrix has
+    # rank 3, so nine of its eigenvalues are (repeated) zeros.
+    distinct = training_vectors(4, 30, seed=11)
+    vecs = [v for v in distinct for _ in range(3)]
+    space = compute_eigenspace(vecs, m=10)
+    assert space.components == 3
+    assert np.all(space.eigenvalues > 1e-12)
+    np.testing.assert_allclose(space.basis.T @ space.basis, np.eye(3),
+                               atol=1e-12)
+    for v in distinct:
+        np.testing.assert_allclose(reconstruct(space, project(space, v)), v,
+                                   atol=1e-9)
+
+
+def test_build_is_deterministic():
+    vecs = training_vectors(20, 64, seed=12)
+    first = compute_eigenspace(vecs, m=10)
+    second = compute_eigenspace(vecs, m=10)
+    assert first.basis.tobytes() == second.basis.tobytes()
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
 
 
 def test_insufficient_data():

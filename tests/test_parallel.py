@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from facemlp.classifiers import AconModel, ClassModel
+from facemlp.cli import OVERHEAD_WARN_RATIO
 from facemlp.errors import (
     ChecksumMismatch,
     Diverged,
@@ -104,6 +105,15 @@ def test_run_pool_results_sorted_and_complete():
     assert all(o.model is not None for o in outcomes)
     assert all(o.queue_wait >= 0.0 for o in outcomes)
     assert all(o.compute_seconds > 0.0 for o in outcomes)
+
+
+def test_queue_wait_excludes_earlier_jobs_compute():
+    # With one worker every job shares a bucket; a job's wait must not
+    # include the training time of the jobs ahead of it.
+    outcomes = run_pool(make_jobs(6), PoolConfig(workers=1))
+    total_wait = sum(o.queue_wait for o in outcomes)
+    total_compute = sum(o.compute_seconds for o in outcomes)
+    assert total_wait < OVERHEAD_WARN_RATIO * total_compute
 
 
 def test_run_pool_parallel_equals_sequential():
