@@ -27,7 +27,14 @@ from .eigenspace import (
     project,
     save_eigenspace,
 )
-from .errors import FacemlpError, InvalidConfig, StoreError, WeightsUnavailable
+from .errors import (
+    FacemlpError,
+    FileError,
+    FormatError,
+    InvalidConfig,
+    StoreError,
+    WeightsUnavailable,
+)
 from .imageio import downsample, load_manifest, generate_synthetic, to_vector, write_dataset
 from .mlp import Topology, TrainingConfig
 from .parallel import PoolConfig, TrainingJob, WeightStore
@@ -65,18 +72,34 @@ def _load_vectors(data: str, factor: int):
     return train, test
 
 
-def _obtain_eigenspace(store: WeightStore, train_vectors, m: int):
-    """Load the shared projection from any root, or build and replicate it."""
+def _load_stored_eigenspace(store: WeightStore):
+    """The eigenspace from the first root holding a readable replica.
+
+    A missing, unreadable or malformed replica is reported on stderr and
+    skipped. Returns None when no root holds a usable one.
+    """
     for root in store.roots:
         path = Path(root) / EIGENSPACE_FILENAME
-        if path.exists():
-            space = load_eigenspace(path)
-            if space.dim != train_vectors[0].shape[0]:
-                raise InvalidConfig(
-                    f"stored eigenspace has dim {space.dim} but images give "
-                    f"{train_vectors[0].shape[0]}; check --downsample"
-                )
-            return space
+        if not path.exists():
+            continue
+        try:
+            return load_eigenspace(path)
+        except (FileError, FormatError) as exc:
+            print(f"warning: skipping eigenspace replica: {exc}",
+                  file=sys.stderr)
+    return None
+
+
+def _obtain_eigenspace(store: WeightStore, train_vectors, m: int):
+    """Load the shared projection from any root, or build and replicate it."""
+    space = _load_stored_eigenspace(store)
+    if space is not None:
+        if space.dim != train_vectors[0].shape[0]:
+            raise InvalidConfig(
+                f"stored eigenspace has dim {space.dim} but images give "
+                f"{train_vectors[0].shape[0]}; check --downsample"
+            )
+        return space
     space = compute_eigenspace(train_vectors, m)
     written = 0
     for root in store.roots:
@@ -175,14 +198,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     store = _resolve_store(args.store)
     train_pairs, test_pairs = _load_vectors(args.data, args.downsample)
-    space = None
-    for root in store.roots:
-        path = Path(root) / EIGENSPACE_FILENAME
-        if path.exists():
-            space = load_eigenspace(path)
-            break
+    space = _load_stored_eigenspace(store)
     if space is None:
-        raise StoreError(f"no {EIGENSPACE_FILENAME} in any store root")
+        raise StoreError(f"no valid {EIGENSPACE_FILENAME} in any store root")
     test_features = [(project(space, v), c) for v, c in test_pairs]
     protocol = evaluator.Protocol(n_pos=args.n_pos, n_neg=args.n_neg,
                                   threshold=args.threshold,

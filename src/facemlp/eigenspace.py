@@ -147,6 +147,8 @@ def load_eigenspace(path: str | Path) -> Eigenspace:
         tokens = path.read_text(encoding="ascii").split()
     except OSError as exc:
         raise FileError(f"cannot read eigenspace {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not an EIGEN1 file") from exc
     if len(tokens) < 3 or tokens[0] != "EIGEN1":
         raise FormatError(f"{path}: not an EIGEN1 file")
     try:
@@ -154,6 +156,8 @@ def load_eigenspace(path: str | Path) -> Eigenspace:
         values = np.array([float(t) for t in tokens[3:]])
     except ValueError as exc:
         raise FormatError(f"{path}: malformed numeric field") from exc
+    if d < 1 or m < 1:
+        raise FormatError(f"{path}: bad shape {d} x {m}")
     expected = d + m + m * d
     if values.shape[0] != expected:
         raise FormatError(

@@ -4,6 +4,15 @@ All units are logistic, targets are 0/1 encoded, and the loss is the mean
 squared error over every output component of every sample. Updates use the
 full batch plus a momentum term, so a run is fully determined by the
 topology, the batch, and the config (including its seed).
+
+Training has one epoch loop, train_group, which trains several nets of
+one topology and sample count in lockstep: their parameters are stacked
+along a leading net axis, so each epoch costs one round of NumPy calls
+for the whole stack instead of one per net. Every slice of the stack
+runs the same IEEE operations in the same order as a net trained alone,
+so a net's weights and MSE history never depend on its group. train is
+the group of one. The single-vector forward used for classification is
+separate and unstacked.
 """
 
 from __future__ import annotations
@@ -86,7 +95,9 @@ class TrainingTrace:
 
     mse_history[i] is the batch MSE after update i+1, so its length equals
     epochs_run and its last entry equals final_mse. goal and max_epochs echo
-    the config the run was given.
+    the config the run was given. wall_time is the net's share of its
+    lockstep group's training time, in proportion to its epochs; for a net
+    trained alone it is the whole training time.
     """
 
     epochs_run: int
@@ -155,28 +166,54 @@ def _stack_batch(batch, in_size: int, out_size: int) -> tuple[np.ndarray, np.nda
     return np.vstack(xs), np.vstack(ts)
 
 
-def _forward_batch(weights: Weights, x: np.ndarray) -> list[np.ndarray]:
+def _sigmoid_(z: np.ndarray) -> np.ndarray:
+    """_sigmoid computed in z's own storage, with the same operations."""
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+def _forward_stack(ws: list[np.ndarray], bs: list[np.ndarray],
+                   x: np.ndarray) -> list[np.ndarray]:
+    """Activations of k stacked nets on their own batches.
+
+    ws[l] is (k, fan_out, fan_in), bs[l] is (k, 1, fan_out) and x is
+    (k, n, fan_in). Returns [x, hidden..., output], each (k, n, width).
+    """
     acts = [x]
-    for w, b in zip(weights.weights, weights.biases):
-        x = _sigmoid(x @ w.T + b)
+    for w, b in zip(ws, bs):
+        z = np.matmul(x, w.transpose(0, 2, 1))
+        z += b
+        x = _sigmoid_(z)
         acts.append(x)
     return acts
 
 
-def _backprop(weights: Weights, acts: list[np.ndarray],
-              targets: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact MSE gradient from activations that match the current weights."""
-    n, out = targets.shape
+def _backprop_stack(ws: list[np.ndarray], acts: list[np.ndarray],
+                    targets: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Exact MSE gradient of each stacked net from its activations.
+
+    Slice j of every product is the same IEEE arithmetic, in the same
+    order, as the gradient of net j computed on its own.
+    """
+    _, n, out = targets.shape
     out_act = acts[-1]
-    delta = (2.0 / (n * out)) * (out_act - targets) * out_act * (1.0 - out_act)
-    grads_w: list[np.ndarray] = [None] * len(weights.weights)
-    grads_b: list[np.ndarray] = [None] * len(weights.biases)
-    for layer in range(len(weights.weights) - 1, -1, -1):
-        grads_w[layer] = delta.T @ acts[layer]
-        grads_b[layer] = delta.sum(axis=0)
+    delta = out_act - targets
+    delta *= 2.0 / (n * out)
+    delta *= out_act
+    delta *= 1.0 - out_act
+    grads_w: list[np.ndarray] = [None] * len(ws)
+    grads_b: list[np.ndarray] = [None] * len(ws)
+    for layer in range(len(ws) - 1, -1, -1):
+        grads_w[layer] = np.matmul(delta.transpose(0, 2, 1), acts[layer])
+        grads_b[layer] = delta.sum(axis=1, keepdims=True)
         if layer:
             prev = acts[layer]
-            delta = (delta @ weights.weights[layer]) * prev * (1.0 - prev)
+            delta = np.matmul(delta, ws[layer])
+            delta *= prev
+            delta *= 1.0 - prev
     return grads_w, grads_b
 
 
@@ -189,9 +226,10 @@ def gradients(weights: Weights,
     """
     sizes = weights.layer_sizes
     x, t = _stack_batch(batch, sizes[0], sizes[-1])
-    acts = _forward_batch(weights, x)
-    gw, gb = _backprop(weights, acts, t)
-    return Weights(gw, gb)
+    ws = [w[None] for w in weights.weights]
+    bs = [b[None, None] for b in weights.biases]
+    gw, gb = _backprop_stack(ws, _forward_stack(ws, bs, x[None]), t[None])
+    return Weights([g[0] for g in gw], [g[0, 0] for g in gb])
 
 
 def mse(outputs, targets) -> float:
@@ -223,42 +261,114 @@ def train(topology: Topology, batch, config: TrainingConfig) -> tuple[Weights, T
     MSE drops below config.goal, or after config.max_epochs updates.
 
     Raises Diverged (with the epoch number) if the MSE stops being finite.
+    This is train_group with a group of one.
     """
-    x, t = _stack_batch(batch, topology.input_size, topology.output_size)
-    weights = init_weights(topology, config.seed)
-    step_w = [np.zeros_like(w) for w in weights.weights]
-    step_b = [np.zeros_like(b) for b in weights.biases]
+    (result,) = train_group(topology, [batch], [config])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def train_group(topology: Topology, batches: list, configs: list[TrainingConfig]
+                ) -> list[tuple[Weights, TrainingTrace] | Exception]:
+    """Train one fresh network per (batch, config) pair, all in lockstep.
+
+    The nets share the topology and the sample count; each has its own
+    batch, seed, learning rate, momentum, goal and max_epochs. Their
+    parameters are stacked along a leading net axis, so an epoch is one
+    stacked forward pass, backprop and momentum step for every net still
+    training. A net leaves the stack at the epoch it meets its goal,
+    diverges or reaches its max_epochs. Each net's arithmetic is exactly
+    what train would do for it alone, so its weights and mse_history do
+    not depend on which other nets share the group.
+
+    Returns one entry per net, in order: (weights, trace), or the
+    exception that net raised (DimensionMismatch, ValueError or TypeError
+    for a bad batch, Diverged for a non-finite MSE). Raises InvalidConfig if the
+    batches differ in sample count. A trace's wall_time is the net's
+    share of the group's training time, in proportion to its epochs, so
+    the shares of a group sum to its elapsed time.
+    """
+    if len(batches) != len(configs):
+        raise InvalidConfig(f"{len(batches)} batches for {len(configs)} configs")
+    if len({len(batch) for batch in batches}) > 1:
+        raise InvalidConfig("nets trained in lockstep must share a sample count")
+    results: list = [None] * len(batches)
+    members, xs, ts = [], [], []
+    for i, batch in enumerate(batches):
+        try:
+            x, t = _stack_batch(batch, topology.input_size, topology.output_size)
+        except (TypeError, ValueError, DimensionMismatch) as exc:
+            results[i] = exc
+            continue
+        members.append(i)
+        xs.append(x)
+        ts.append(t)
+    if not members:
+        return results
 
     started = time.perf_counter()
-    acts = _forward_batch(weights, x)
-    history: list[float] = []
-    met = False
-    for epoch in range(1, config.max_epochs + 1):
-        gw, gb = _backprop(weights, acts, t)
-        for i in range(len(step_w)):
-            step_w[i] = config.momentum * step_w[i] - config.learning_rate * gw[i]
-            step_b[i] = config.momentum * step_b[i] - config.learning_rate * gb[i]
-            weights.weights[i] += step_w[i]
-            weights.biases[i] += step_b[i]
-        acts = _forward_batch(weights, x)
+    x, t = np.stack(xs), np.stack(ts)
+    inits = [init_weights(topology, configs[i].seed) for i in members]
+    ws = [np.stack(layer) for layer in zip(*(w.weights for w in inits))]
+    bs = [np.stack(layer)[:, None, :] for layer in zip(*(w.biases for w in inits))]
+    step_w = [np.zeros_like(w) for w in ws]
+    step_b = [np.zeros_like(b) for b in bs]
+    rate = np.array([configs[i].learning_rate for i in members])[:, None, None]
+    momentum = np.array([configs[i].momentum for i in members])[:, None, None]
+
+    active = members            # results index of each stack slot
+    histories = {i: [] for i in members}
+    acts = _forward_stack(ws, bs, x)
+    epoch = 0
+    while active:
+        epoch += 1
+        gw, gb = _backprop_stack(ws, acts, t)
+        for params, steps, grads in ((ws, step_w, gw), (bs, step_b, gb)):
+            for param, step, grad in zip(params, steps, grads):
+                step *= momentum
+                grad *= rate
+                step -= grad
+                param += step
+        acts = _forward_stack(ws, bs, x)
         # On a diverging run the squared error overflows to inf; that is the
         # signal we detect, not a fault worth a warning.
         with np.errstate(over="ignore"):
-            current = float(np.mean((acts[-1] - t) ** 2))
-        history.append(current)
-        if not math.isfinite(current):
-            raise Diverged(epoch)
-        if current < config.goal:
-            met = True
-            break
+            err = acts[-1] - t
+            np.square(err, out=err)
+        current = err.mean(axis=(1, 2)).tolist()
 
-    trace = TrainingTrace(
-        epochs_run=len(history),
-        final_mse=history[-1],
-        goal_met=met,
-        wall_time=time.perf_counter() - started,
-        goal=config.goal,
-        max_epochs=config.max_epochs,
-        mse_history=history,
-    )
-    return weights, trace
+        keep = []
+        for slot, (i, value) in enumerate(zip(active, current)):
+            histories[i].append(value)
+            config = configs[i]
+            if not math.isfinite(value):
+                results[i] = Diverged(epoch)
+            elif value < config.goal or epoch == config.max_epochs:
+                weights = Weights([w[slot].copy() for w in ws],
+                                  [b[slot, 0].copy() for b in bs])
+                results[i] = (weights, TrainingTrace(
+                    epochs_run=epoch,
+                    final_mse=value,
+                    goal_met=value < config.goal,
+                    wall_time=0.0,
+                    goal=config.goal,
+                    max_epochs=config.max_epochs,
+                    mse_history=histories[i],
+                ))
+            else:
+                keep.append(slot)
+        if len(keep) < len(active):
+            active = [active[slot] for slot in keep]
+            ws, bs, step_w, step_b, acts = (
+                [a[keep] for a in arrays]
+                for arrays in (ws, bs, step_w, step_b, acts))
+            x = acts[0]         # the compacted inputs
+            t, rate, momentum = t[keep], rate[keep], momentum[keep]
+
+    elapsed = time.perf_counter() - started
+    total = sum(len(h) for h in histories.values())
+    for i in members:
+        if not isinstance(results[i], Exception):
+            results[i][1].wall_time = elapsed * len(histories[i]) / total
+    return results

@@ -3,8 +3,12 @@
 The pool is a set of local worker processes standing in for the separate
 machines a networked deployment would use: jobs are independent, training
 is seed-deterministic, so the outcome is bit-identical however the jobs
-are spread. Weights are persisted as checksummed text files replicated
-to every store root, and loads fail over between replicas.
+are spread. Within a worker, the jobs that share a topology and a sample
+count train in lockstep (mlp.train_group), which shares NumPy's per-call
+overhead among them without changing any net's arithmetic: processes
+split the classes, lockstep speeds up each process. Weights are persisted
+as checksummed text files replicated to every store root, and loads fail
+over between replicas.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ import numpy as np
 from .classifiers import AconModel, ClassModel
 from .errors import (
     ChecksumMismatch,
+    Diverged,
     FormatError,
     InvalidConfig,
     StoreError,
     WeightsUnavailable,
 )
-from .mlp import Topology, TrainingConfig, TrainingTrace, Weights, train
+from .mlp import Topology, TrainingConfig, Weights, train_group
 
 ALLOCATION_POLICIES = ("round_robin", "largest_first")
 ACON_FILENAME = "acon.wts"
@@ -80,8 +85,10 @@ class JobOutcome:
     """Result slot for one job; exactly one of model/error is set.
 
     queue_wait is the gap between the job becoming runnable (its bucket
-    submitted and the bucket's previous job done) and the moment a worker
-    picked it up; compute_seconds is pure training time.
+    submitted and the bucket's previous lockstep group done) and the
+    moment its own group started. compute_seconds is the job's share of
+    its group's training time, in proportion to the epochs it ran, so the
+    compute times of a bucket sum to the bucket's real compute time.
     """
 
     class_id: int
@@ -121,44 +128,66 @@ def allocate(jobs: list[TrainingJob], pool: PoolConfig) -> list[list[TrainingJob
     return buckets
 
 
-def _run_job(job: TrainingJob, submitted_at: float):
-    """Train one job; never raises, so one failure cannot sink a batch.
+def _run_job_list(jobs: list[TrainingJob], submitted_at: float):
+    """Run a bucket's jobs; never raises, so one failure cannot sink a batch.
 
-    Returns a plain tuple because the result may cross a process
+    Jobs that share a topology and a sample count form a group, in order
+    of first appearance, and each group trains in lockstep through
+    train_group. A job's queue wait counts from the later of the bucket's
+    submission and the end of the previous group to the start of its own
+    group. Its compute time is its share of the group's elapsed time, in
+    proportion to the epochs it ran, so a bucket's compute times sum to
+    its real compute time.
+
+    Returns plain tuples because the results may cross a process
     boundary.
     """
-    picked_up = time.monotonic()
-    started = time.perf_counter()
-    try:
-        weights, trace = train(job.topology, job.task, job.config)
-        err = None
-    except Exception as exc:        # captured per job, reported in outcome
-        weights, trace, err = None, None, exc
-    compute = time.perf_counter() - started
-    return job.class_id, weights, trace, err, picked_up - submitted_at, compute
+    groups: dict[tuple[Topology, int], list[TrainingJob]] = {}
+    for job in jobs:
+        groups.setdefault((job.topology, job.size), []).append(job)
 
-
-def _run_job_list(jobs: list[TrainingJob], submitted_at: float):
-    """Run a bucket's jobs in order.
-
-    A job cannot start before its predecessor in the bucket finishes, so
-    its queue wait counts from the later of the bucket's submission and
-    that predecessor's end, not from the submission alone.
-    """
     results = []
     ready_at = submitted_at
-    for job in jobs:
-        results.append(_run_job(job, ready_at))
+    for (topology, _), group in groups.items():
+        picked_up = time.monotonic()
+        started = time.perf_counter()
+        try:
+            trained = train_group(topology, [job.task for job in group],
+                                  [job.config for job in group])
+        except Exception as exc:    # captured per job, reported in outcome
+            trained = [exc] * len(group)
+        elapsed = time.perf_counter() - started
+        epochs = [_epochs_spent(result) for result in trained]
+        total = sum(epochs)
+        for job, result, spent in zip(group, trained, epochs):
+            share = spent / total if total else 1.0 / len(group)
+            if isinstance(result, Exception):
+                weights, trace, err = None, None, result
+            else:
+                (weights, trace), err = result, None
+            results.append((job.class_id, weights, trace, err,
+                            picked_up - ready_at, elapsed * share))
         ready_at = time.monotonic()
     return results
+
+
+def _epochs_spent(result) -> int:
+    """Epochs a train_group entry used: its trace's, or where it diverged."""
+    if isinstance(result, Diverged):
+        return result.epoch
+    if isinstance(result, Exception):
+        return 0
+    return result[1].epochs_run
 
 
 def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
     """Execute all jobs and gather per-job outcomes sorted by class_id.
 
     Worker count never changes the trained weights, only the wall time:
-    jobs share no state and each is deterministic. A job that raises is
-    reported in its outcome; the remaining jobs still complete.
+    jobs share no state, each is deterministic, and a job's arithmetic is
+    the same whichever lockstep group it trains in. A job that raises is
+    reported in its outcome; the remaining jobs, those of its own group
+    included, still complete.
     """
     ids = [j.class_id for j in jobs]
     if len(set(ids)) != len(ids):

@@ -227,10 +227,12 @@ def test_criterion_4_convergence_experiment(experiment):
         acon_final = experiment["acon"].trace.final_mse
         assert acon_final > worst
         epochs = [m.trace.epochs_run for m in models]
+        acon_epochs = experiment["acon"].trace.epochs_run
+        assert max(epochs) < acon_epochs
         ok = True
-        detail = (f"subnets met goal in {min(epochs)}-{max(epochs)} epochs, "
-                  f"all-classes final {acon_final:.6e} > worst subnet "
-                  f"{worst:.6e}")
+        detail = (f"subnets met goal in {min(epochs)}-{max(epochs)} epochs "
+                  f"< all-classes {acon_epochs}; all-classes final "
+                  f"{acon_final:.6e} > worst subnet {worst:.6e}")
     finally:
         _report(4, "per-class nets converge, all-classes net trails", ok,
                 detail)

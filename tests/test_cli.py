@@ -78,6 +78,30 @@ def test_evaluate_survives_root_loss_bit_for_bit(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("damage", ["binary", "text", "missing"])
+def test_evaluate_fails_over_a_bad_eigenspace_replica(tmp_path, damage):
+    data = synth(tmp_path)
+    store = store_arg(tmp_path)
+    run_train(tmp_path, data, store)
+    args = ["evaluate", "--data", str(data), "--store", store,
+            "--format", "csv"]
+    intact = tmp_path / "intact.csv"
+    assert main([*args, "--out", str(intact)]) == 0
+
+    victim = tmp_path / "ra" / "eigenspace.txt"
+    if damage == "binary":
+        victim.write_bytes(b"\xff\xfe\x00garbage\x80")
+    elif damage == "text":
+        victim.write_text("EIGEN1 not a number\n")
+    else:
+        victim.unlink()
+    damaged = tmp_path / "damaged.csv"
+    assert main([*args, "--out", str(damaged)]) == 0
+    assert damaged.read_bytes() == intact.read_bytes()
+    # train reuses the intact replica too, rather than failing
+    assert run_train(tmp_path, data, store) == 0
+
+
 def test_evaluate_marks_missing_class(tmp_path, capsys):
     data = synth(tmp_path)
     store = store_arg(tmp_path)

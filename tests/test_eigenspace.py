@@ -195,6 +195,17 @@ def test_load_rejects_garbage_number(tmp_path):
         load_eigenspace(p)
 
 
+@pytest.mark.parametrize("raw", [
+    b"\x89PNG\r\n\x1a\n\xff\xfe garbage",
+    b"EIGEN1 -2 -2\n",    # the value count checks out: -2 - 2 + 4 == 0
+], ids=["not_ascii", "negative_shape"])
+def test_load_rejects_undecodable_or_bad_shape(tmp_path, raw):
+    p = tmp_path / "space.txt"
+    p.write_bytes(raw)
+    with pytest.raises(FormatError):
+        load_eigenspace(p)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileError):
         load_eigenspace(tmp_path / "absent.txt")

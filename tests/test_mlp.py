@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from facemlp.mlp import (
     init_weights,
     mse,
     train,
+    train_group,
 )
+from mlp_reference import reference_gradients, reference_train
 
 XOR = [
     (np.array([0.0, 0.0]), [0.0]),
@@ -270,3 +273,93 @@ def test_weights_copy_is_independent():
     c = w.copy()
     c.weights[0][0, 0] += 1.0
     assert w.weights[0][0, 0] != c.weights[0][0, 0]
+
+
+def assert_same_weights(a: Weights, b: Weights):
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_train_group_matches_reference_loop(data):
+    sizes = data.draw(st.sampled_from([(2, 3, 1), (3, 4, 2), (4, 1),
+                                       (3, 2, 2, 1)]))
+    topology = Topology(sizes)
+    k = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 8))
+    diverging = data.draw(st.none() | st.integers(0, k - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    batches, configs = [], []
+    for j in range(k):
+        batch = [(rng.normal(size=sizes[0]), rng.uniform(size=sizes[-1]))
+                 for _ in range(n)]
+        if j == diverging:
+            batch[-1] = (batch[-1][0], np.full(sizes[-1], 1e160))
+        batches.append(batch)
+        configs.append(TrainingConfig(
+            learning_rate=data.draw(st.floats(0.01, 2.0)),
+            momentum=data.draw(st.floats(0.0, 0.95)),
+            goal=data.draw(st.floats(1e-4, 0.3)),
+            max_epochs=data.draw(st.integers(1, 300)),
+            seed=data.draw(st.integers(0, 2**20))))
+
+    results = train_group(topology, batches, configs)
+    assert len(results) == k
+    for batch, config, result in zip(batches, configs, results):
+        try:
+            weights, history, met = reference_train(topology, batch, config)
+        except Diverged as exc:
+            assert isinstance(result, Diverged)
+            assert result.epoch == exc.epoch
+            continue
+        got_weights, trace = result
+        assert_same_weights(got_weights, weights)
+        assert trace.mse_history == history
+        assert trace.epochs_run == len(history)
+        assert trace.final_mse == history[-1]
+        assert trace.goal_met == met
+        assert (trace.goal, trace.max_epochs) == (config.goal,
+                                                  config.max_epochs)
+
+
+def test_gradients_match_reference():
+    rng = np.random.default_rng(21)
+    for sizes in ((2, 3, 1), (5, 4, 3), (3, 1)):
+        w = init_weights(Topology(sizes), seed=4)
+        batch = [(rng.normal(size=sizes[0]), rng.uniform(size=sizes[-1]))
+                 for _ in range(7)]
+        assert_same_weights(gradients(w, batch), reference_gradients(w, batch))
+
+
+def test_train_group_isolates_bad_batches():
+    good = XOR
+    short = [(np.zeros(3), [0.0])] * 4      # wrong input width
+    cfg = TrainingConfig(learning_rate=0.5, goal=1e-2, max_epochs=300, seed=1)
+    results = train_group(Topology((2, 4, 1)), [good, short, good],
+                          [cfg, cfg, replace(cfg, seed=2)])
+    assert isinstance(results[1], DimensionMismatch)
+    weights, trace = results[0]
+    alone, alone_trace = train(Topology((2, 4, 1)), good, cfg)
+    assert_same_weights(weights, alone)
+    assert trace.mse_history == alone_trace.mse_history
+    assert results[2][1].epochs_run > 0
+
+
+def test_train_group_wall_time_shared_by_epochs():
+    cfgs = [TrainingConfig(learning_rate=0.5, goal=1e-9, max_epochs=e,
+                           seed=0) for e in (10, 40, 25)]
+    results = train_group(Topology((2, 3, 1)), [XOR] * 3, cfgs)
+    rates = [t.wall_time / t.epochs_run for _, t in results]
+    assert [t.epochs_run for _, t in results] == [10, 40, 25]
+    assert rates[0] > 0
+    np.testing.assert_allclose(rates, rates[0], rtol=1e-9)
+
+
+def test_train_group_rejects_mixed_sample_counts():
+    cfg = TrainingConfig(max_epochs=5)
+    with pytest.raises(InvalidConfig):
+        train_group(Topology((2, 3, 1)), [XOR, XOR[:3]], [cfg, cfg])
+    with pytest.raises(InvalidConfig):
+        train_group(Topology((2, 3, 1)), [XOR], [cfg, cfg])

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from facemlp.classifiers import AconModel, ClassModel
+from facemlp import parallel
+from facemlp.classifiers import AconModel, ClassModel, train_ocon
 from facemlp.cli import OVERHEAD_WARN_RATIO
 from facemlp.errors import (
     ChecksumMismatch,
+    DimensionMismatch,
     Diverged,
     FormatError,
     InvalidConfig,
     StoreError,
     WeightsUnavailable,
 )
-from facemlp.mlp import Topology, TrainingConfig, init_weights
+from facemlp.mlp import Topology, TrainingConfig, init_weights, train
 from facemlp.parallel import (
+    ALLOCATION_POLICIES,
     JobOutcome,
     PoolConfig,
     TrainingJob,
@@ -147,6 +152,77 @@ def test_run_pool_failure_capture_crosses_processes():
     assert isinstance(outcomes[0].exception, Diverged)
     assert outcomes[0].exception.epoch == 1
     assert outcomes[1].model is not None
+
+
+def same_models(a, b) -> bool:
+    arrays = zip(a.weights.weights + a.weights.biases,
+                 b.weights.weights + b.weights.biases)
+    return (all(x.tobytes() == y.tobytes() for x, y in arrays)
+            and a.trace.mse_history == b.trace.mse_history)
+
+
+@settings(max_examples=8, deadline=None)
+@given(classes=st.integers(2, 7),
+       allocation=st.sampled_from(ALLOCATION_POLICIES),
+       max_negatives=st.sampled_from([None, 3]),
+       seed=st.integers(0, 1000))
+@example(classes=5, allocation="round_robin", max_negatives=3, seed=0)
+def test_ocon_weights_identical_across_worker_counts(
+        classes, allocation, max_negatives, seed):
+    # Classes hold 2, 3 or 4 samples; capping negatives then gives tasks
+    # of several sizes, so a bucket holds more than one lockstep group.
+    rng = np.random.default_rng(seed)
+    samples = [(rng.normal(size=3), cid) for cid in range(1, classes + 1)
+               for _ in range(2 + cid % 3)]
+    config = TrainingConfig(learning_rate=0.5, momentum=0.8, goal=1e-3,
+                            max_epochs=150, seed=seed)
+
+    def trained(workers):
+        return train_ocon(samples, Topology((3, 4, 1)), config,
+                          PoolConfig(workers, allocation), max_negatives)
+
+    groups = []
+    real_train_group = parallel.train_group
+
+    def counting_train_group(topology, batches, configs):
+        groups.append(len(batches))
+        return real_train_group(topology, batches, configs)
+
+    parallel.train_group = counting_train_group
+    try:
+        single = trained(1)
+    finally:
+        parallel.train_group = real_train_group
+    assert sum(groups) == classes
+    if max_negatives is not None and classes >= 3:
+        assert len(groups) > 1
+
+    for workers in (2, 3):
+        for a, b in zip(single.models, trained(workers).models):
+            assert a.class_id == b.class_id
+            assert same_models(a, b)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failures_stay_isolated_inside_a_lockstep_group(workers):
+    # Round robin over 2 workers puts jobs 1 and 3 in one bucket, so the
+    # diverging job 3 and the bad-width job 4 share groups with good jobs
+    # at either worker count.
+    jobs = make_jobs(5)
+    jobs[2] = TrainingJob(3, [(np.zeros(2), 1e160)] * 6, TOPO, CFG)
+    jobs[3] = TrainingJob(4, [(np.zeros(3), 0.0)] * 6, TOPO, CFG)
+    outcomes = run_pool(jobs, PoolConfig(workers=workers))
+    assert isinstance(outcomes[2].exception, Diverged)
+    assert outcomes[2].exception.epoch == 1
+    assert isinstance(outcomes[3].exception, DimensionMismatch)
+    for job, outcome in zip(jobs, outcomes):
+        if job.class_id in (3, 4):
+            assert outcome.model is None
+            continue
+        weights, trace = train(job.topology, job.task, job.config)
+        alone = ClassModel(job.class_id, job.topology, weights, trace)
+        assert same_models(outcome.model, alone)
+    assert all(o.compute_seconds > 0 for o in outcomes if o.class_id != 4)
 
 
 def test_run_pool_rejects_duplicate_ids():
