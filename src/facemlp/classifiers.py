@@ -19,25 +19,12 @@ from .errors import (
     InsufficientClasses,
     NoCounterexamples,
 )
-from .mlp import Topology, TrainingConfig, TrainingTrace, Weights, forward, train
+from .mlp import AconModel, ClassModel, Topology, TrainingConfig, forward, train
+from .parallel import PoolConfig, TrainingJob, run_pool
 
 OCON_HIDDEN = 20
 ACON_HIDDEN = 60
 DEFAULT_THRESHOLD = 0.5
-
-
-@dataclass(eq=False)
-class ClassModel:
-    """One trained binary subnet. trace is None when loaded from disk."""
-
-    class_id: int
-    topology: Topology
-    weights: Weights
-    trace: TrainingTrace | None = None
-
-    def __post_init__(self):
-        if self.topology.output_size != 1:
-            raise DimensionMismatch("class subnet must have exactly 1 output")
 
 
 @dataclass(eq=False)
@@ -59,25 +46,6 @@ class OconEnsemble:
     @property
     def class_ids(self) -> list[int]:
         return [m.class_id for m in self.models]
-
-
-@dataclass(eq=False)
-class AconModel:
-    """Single net with one output per class, in class_ids order."""
-
-    class_ids: tuple[int, ...]
-    topology: Topology
-    weights: Weights
-    trace: TrainingTrace | None = None
-
-    def __post_init__(self):
-        k = len(self.class_ids)
-        if k < 2:
-            raise InsufficientClasses("ACON needs at least 2 classes")
-        if self.topology.output_size != k:
-            raise DimensionMismatch(
-                f"{k} classes but {self.topology.output_size} outputs"
-            )
 
 
 def build_ocon_task(class_id: int, train_samples) -> list[tuple[np.ndarray, float]]:
@@ -125,34 +93,42 @@ def _subsample_negatives(task, cap: int, seed: int):
             if pair[1] == 1.0 or i in keep]
 
 
+def build_ocon_jobs(train_samples, topology: Topology,
+                    config: TrainingConfig,
+                    max_negatives: int | None = None) -> list[TrainingJob]:
+    """One pool job per class, in class_id order.
+
+    Each job trains on its class's relabelled task, with negatives capped
+    at max_negatives when given, and with the config's seed offset by
+    class_id so the subnets start from distinct weights.
+    """
+    class_ids = sorted({cid for _, cid in train_samples})
+    if len(class_ids) < 2:
+        raise InsufficientClasses(f"need >= 2 classes, got {class_ids}")
+    jobs = []
+    for cid in class_ids:
+        task = build_ocon_task(cid, train_samples)
+        if max_negatives is not None:
+            task = _subsample_negatives(task, max_negatives, config.seed + cid)
+        jobs.append(TrainingJob(cid, task, topology,
+                                replace(config, seed=config.seed + cid)))
+    return jobs
+
+
 def train_ocon(train_samples, topology_template: Topology | None = None,
                config: TrainingConfig | None = None, pool=None,
                max_negatives: int | None = None) -> OconEnsemble:
     """Train one subnet per class and bundle them.
 
     Every subnet shares the topology template (input m, default hidden
-    20, output 1); only the weights differ. Subnet seeds are offset by
-    class_id so the networks start from distinct weights. Training runs
-    through the worker pool; any job failure is re-raised here.
+    20, output 1); only the weights differ. Training runs through the
+    worker pool; any job failure is re-raised here.
     """
-    from . import parallel
-
     config = config or TrainingConfig()
-    class_ids = sorted({cid for _, cid in train_samples})
-    if len(class_ids) < 2:
-        raise InsufficientClasses(f"need >= 2 classes, got {class_ids}")
     m = int(np.asarray(train_samples[0][0]).shape[0])
     topology = topology_template or Topology((m, OCON_HIDDEN, 1))
-
-    jobs = []
-    for cid in class_ids:
-        task = build_ocon_task(cid, train_samples)
-        if max_negatives is not None:
-            task = _subsample_negatives(task, max_negatives, config.seed + cid)
-        job_config = replace(config, seed=config.seed + cid)
-        jobs.append(parallel.TrainingJob(cid, task, topology, job_config))
-
-    outcomes = parallel.run_pool(jobs, pool or parallel.PoolConfig())
+    jobs = build_ocon_jobs(train_samples, topology, config, max_negatives)
+    outcomes = run_pool(jobs, pool or PoolConfig())
     for outcome in outcomes:
         if outcome.model is None:
             raise outcome.exception

@@ -9,38 +9,31 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import evaluator, parallel
-from .classifiers import (
-    ACON_HIDDEN,
-    OCON_HIDDEN,
-    build_ocon_task,
-    train_acon,
-    _subsample_negatives,
-)
+from .classifiers import ACON_HIDDEN, OCON_HIDDEN, build_ocon_jobs, train_acon
 from .eigenspace import (
     DEFAULT_COMPONENTS,
+    EIGENSPACE_FILENAME,
     compute_eigenspace,
+    encode_eigenspace,
+    fingerprint,
     load_eigenspace,
     project,
-    save_eigenspace,
 )
 from .errors import (
     FacemlpError,
-    FileError,
-    FormatError,
     InvalidConfig,
     StoreError,
     WeightsUnavailable,
 )
 from .imageio import downsample, load_manifest, generate_synthetic, to_vector, write_dataset
 from .mlp import Topology, TrainingConfig
-from .parallel import PoolConfig, TrainingJob, WeightStore
+from .parallel import PoolConfig
+from .store import WeightStore, read_replicated, write_replicated
 
 STORE_ENV = "FACEMLP_STORE"
-EIGENSPACE_FILENAME = "eigenspace.txt"
 # Queue wait beyond this fraction of compute time suggests the pool is
 # the bottleneck rather than the training itself.
 OVERHEAD_WARN_RATIO = 0.1
@@ -72,46 +65,37 @@ def _load_vectors(data: str, factor: int):
     return train, test
 
 
-def _load_stored_eigenspace(store: WeightStore):
-    """The eigenspace from the first root holding a readable replica.
+def _warn(message) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
-    A missing, unreadable or malformed replica is reported on stderr and
-    skipped. Returns None when no root holds a usable one.
-    """
-    for root in store.roots:
-        path = Path(root) / EIGENSPACE_FILENAME
-        if not path.exists():
-            continue
-        try:
-            return load_eigenspace(path)
-        except (FileError, FormatError) as exc:
-            print(f"warning: skipping eigenspace replica: {exc}",
-                  file=sys.stderr)
-    return None
+
+def _skipped(path: Path, exc: Exception) -> None:
+    _warn(f"skipped replica {path}: {exc}")
 
 
 def _obtain_eigenspace(store: WeightStore, train_vectors, m: int):
-    """Load the shared projection from any root, or build and replicate it."""
-    space = _load_stored_eigenspace(store)
-    if space is not None:
-        if space.dim != train_vectors[0].shape[0]:
-            raise InvalidConfig(
-                f"stored eigenspace has dim {space.dim} but images give "
-                f"{train_vectors[0].shape[0]}; check --downsample"
-            )
+    """Reuse the stored projection if it was built from the same inputs,
+    or build and replicate it when the store holds none.
+
+    A stored space of other inputs is a configuration error rather than
+    something to rebuild: the store's weight files were trained on it.
+    """
+    space = read_replicated(store, EIGENSPACE_FILENAME, load_eigenspace,
+                            _skipped)
+    if space is None:
+        space = compute_eigenspace(train_vectors, m)
+        for err in write_replicated(store, EIGENSPACE_FILENAME,
+                                    encode_eigenspace(space)).errors:
+            _warn(err)
         return space
-    space = compute_eigenspace(train_vectors, m)
-    written = 0
-    for root in store.roots:
-        try:
-            Path(root).mkdir(parents=True, exist_ok=True)
-            save_eigenspace(space, Path(root) / EIGENSPACE_FILENAME)
-            written += 1
-        except OSError as exc:
-            print(f"warning: cannot persist eigenspace to {root}: {exc}",
-                  file=sys.stderr)
-    if not written:
-        raise StoreError("eigenspace could not be persisted to any root")
+    wanted = fingerprint(train_vectors, m)
+    if space.fingerprint != wanted:
+        raise InvalidConfig(
+            f"stored eigenspace was built from other inputs (fingerprint "
+            f"{space.fingerprint}, this run {wanted}); train with the "
+            f"--data, --downsample and --components it was built with, "
+            f"or use a fresh --store"
+        )
     return space
 
 
@@ -149,7 +133,8 @@ def cmd_train(args) -> int:
         class_count = len({c for _, c in features})
         topology = Topology((m, hidden, class_count))
         model = train_acon(features, topology, config)
-        parallel.persist_acon(model, store)
+        for err in parallel.persist_acon(model, store).errors:
+            _warn(err)
         _write_trace(traces_dir, "acon", model.trace)
         status = "goal met" if model.trace.goal_met else "goal not met"
         print(f"acon: epochs={model.trace.epochs_run} "
@@ -158,16 +143,8 @@ def cmd_train(args) -> int:
         return EXIT_OK
 
     hidden = args.hidden or OCON_HIDDEN
-    topology = Topology((m, hidden, 1))
-    class_ids = sorted({c for _, c in features})
-    jobs = []
-    for cid in class_ids:
-        task = build_ocon_task(cid, features)
-        if args.max_negatives is not None:
-            task = _subsample_negatives(task, args.max_negatives,
-                                        config.seed + cid)
-        jobs.append(TrainingJob(cid, task, topology,
-                                replace(config, seed=config.seed + cid)))
+    jobs = build_ocon_jobs(features, Topology((m, hidden, 1)), config,
+                           args.max_negatives)
     pool = PoolConfig(workers=args.workers, allocation=args.allocation)
     outcomes = parallel.run_pool(jobs, pool)
 
@@ -180,7 +157,7 @@ def cmd_train(args) -> int:
             continue
         persisted = parallel.persist(outcome.model, store)
         for err in persisted.errors:
-            print(f"warning: {err}", file=sys.stderr)
+            _warn(err)
         trace = outcome.model.trace
         status = "goal met" if trace.goal_met else "goal not met"
         print(f"class {outcome.class_id}: epochs={trace.epochs_run} "
@@ -190,15 +167,16 @@ def cmd_train(args) -> int:
     total_wait = sum(o.queue_wait for o in outcomes)
     total_compute = sum(o.compute_seconds for o in outcomes)
     if total_compute > 0 and total_wait / total_compute > OVERHEAD_WARN_RATIO:
-        print(f"warning: queue wait is {total_wait / total_compute:.0%} of "
-              f"compute time; consider fewer, larger jobs", file=sys.stderr)
+        _warn(f"queue wait is {total_wait / total_compute:.0%} of compute "
+              f"time; consider fewer, larger jobs")
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     store = _resolve_store(args.store)
     train_pairs, test_pairs = _load_vectors(args.data, args.downsample)
-    space = _load_stored_eigenspace(store)
+    space = read_replicated(store, EIGENSPACE_FILENAME, load_eigenspace,
+                            _skipped)
     if space is None:
         raise StoreError(f"no valid {EIGENSPACE_FILENAME} in any store root")
     test_features = [(project(space, v), c) for v, c in test_pairs]
@@ -208,7 +186,7 @@ def cmd_evaluate(args) -> int:
 
     partial = False
     if args.mode == "acon":
-        models = parallel.load_acon(store)
+        models = parallel.load_acon(store, _skipped)
     else:
         registered = sorted({c for _, c in train_pairs})
         if not registered:
@@ -216,11 +194,11 @@ def cmd_evaluate(args) -> int:
         table = {}
         for cid in registered:
             try:
-                table[cid] = parallel.load(cid, store)
+                table[cid] = parallel.load(cid, store, _skipped)
             except WeightsUnavailable as exc:
                 table[cid] = None
                 partial = True
-                print(f"warning: {exc}", file=sys.stderr)
+                _warn(exc)
         models = table
 
     report = evaluator.evaluate_all(models, test_features, protocol)

@@ -7,11 +7,15 @@ through the data matrix. The Gram matrix is eigendecomposed by LAPACK's
 symmetric solver through numpy.linalg.eigh.
 
 Eigenvalues are stored on the 1/n covariance scale so persisted spaces are
-reproducible regardless of how the caller normalizes.
+reproducible regardless of how the caller normalizes. A space carries the
+fingerprint of the inputs it was built from, so a stored space is reused
+only for the same training matrix and requested component count. Its
+file is framed and replicated by facemlp.store like the weight files.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,8 +28,10 @@ from .errors import (
     InsufficientData,
     NotSymmetric,
 )
+from .store import WeightStore, verify, write_replicated
 
 DEFAULT_COMPONENTS = 40
+EIGENSPACE_FILENAME = "eigenspace.txt"
 NEGLIGIBLE_EIGENVALUE = 1e-12
 
 
@@ -34,13 +40,15 @@ class Eigenspace:
     """Mean vector plus an orthonormal eigenvector basis.
 
     basis has shape (dim, m) with one unit-length eigenface per column,
-    ordered by descending eigenvalue.
+    ordered by descending eigenvalue. fingerprint is fingerprint() of the
+    training matrix and the requested m the space was built from.
     """
 
     dim: int
     mean: np.ndarray
     basis: np.ndarray
     eigenvalues: np.ndarray
+    fingerprint: str
 
     @property
     def components(self) -> int:
@@ -66,6 +74,13 @@ def eig_symmetric(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     values, vectors = np.linalg.eigh(a)
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]
+
+
+def fingerprint(train_vectors, m: int) -> str:
+    """Identify an eigenspace build: the CRC32 of the float64 training
+    matrix, one row per vector, and the requested m."""
+    data = np.ascontiguousarray(np.vstack(train_vectors), dtype=np.float64)
+    return f"{zlib.crc32(data):08x}:{m}"
 
 
 def compute_eigenspace(train_vectors: list[np.ndarray] | np.ndarray,
@@ -106,7 +121,8 @@ def compute_eigenspace(train_vectors: list[np.ndarray] | np.ndarray,
         if face[np.argmax(np.abs(face))] < 0:
             face = -face
         basis[:, i] = face
-    return Eigenspace(d, mean, basis, cov_values[:keep].copy())
+    return Eigenspace(d, mean, basis, cov_values[:keep].copy(),
+                      fingerprint(data, m))
 
 
 def project(space: Eigenspace, v: np.ndarray) -> np.ndarray:
@@ -131,29 +147,40 @@ def _format_row(values: np.ndarray) -> str:
     return " ".join(f"{x:.17g}" for x in values)
 
 
-def save_eigenspace(space: Eigenspace, path: str | Path) -> None:
-    """Write a space as text: header, mean, eigenvalues, basis columns."""
-    lines = [f"EIGEN1 {space.dim} {space.components}", _format_row(space.mean),
-             _format_row(space.eigenvalues)]
+def encode_eigenspace(space: Eigenspace) -> bytes:
+    """The text body of an eigenspace file: a header with the shape and
+    fingerprint, then the mean, the eigenvalues and each basis column."""
+    lines = [f"EIGEN1 {space.dim} {space.components} {space.fingerprint}",
+             _format_row(space.mean), _format_row(space.eigenvalues)]
     for i in range(space.components):
         lines.append(_format_row(space.basis[:, i]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def save_eigenspace(space: Eigenspace, path: str | Path) -> None:
+    """Write a space to one file, with the store's checksum trailer."""
+    path = Path(path)
+    write_replicated(WeightStore((path.parent,)), path.name,
+                     encode_eigenspace(space))
 
 
 def load_eigenspace(path: str | Path) -> Eigenspace:
-    """Read a space written by save_eigenspace."""
+    """Read and checksum-validate a space written by encode_eigenspace."""
     path = Path(path)
     try:
-        tokens = path.read_text(encoding="ascii").split()
+        raw = path.read_bytes()
     except OSError as exc:
         raise FileError(f"cannot read eigenspace {path}: {exc}") from exc
+    try:
+        header, _, rest = verify(raw, path).decode("ascii").partition("\n")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not an EIGEN1 file") from exc
-    if len(tokens) < 3 or tokens[0] != "EIGEN1":
+    fields = header.split()
+    if len(fields) != 4 or fields[0] != "EIGEN1":
         raise FormatError(f"{path}: not an EIGEN1 file")
     try:
-        d, m = int(tokens[1]), int(tokens[2])
-        values = np.array([float(t) for t in tokens[3:]])
+        d, m = int(fields[1]), int(fields[2])
+        values = np.array([float(t) for t in rest.split()])
     except ValueError as exc:
         raise FormatError(f"{path}: malformed numeric field") from exc
     if d < 1 or m < 1:
@@ -166,4 +193,4 @@ def load_eigenspace(path: str | Path) -> Eigenspace:
     mean = values[:d]
     eigenvalues = values[d : d + m]
     basis = values[d + m :].reshape(m, d).T.copy()
-    return Eigenspace(d, mean, basis, eigenvalues)
+    return Eigenspace(d, mean, basis, eigenvalues, fields[3])

@@ -54,7 +54,7 @@ class InsufficientData(FacemlpError):
 
 
 class FormatError(FacemlpError):
-    """A persisted artifact file is structurally malformed."""
+    """A stored artifact file is malformed or lacks its checksum trailer."""
 
 
 # --- network training ---
@@ -84,14 +84,14 @@ class InsufficientClasses(FacemlpError):
     """A multi-class task needs at least two distinct classes."""
 
 
-# --- weight persistence ---
+# --- artifact store ---
 
 class StoreError(FacemlpError):
-    """A weight store root could not be written."""
+    """A store root could not take an artifact, or no root holds it."""
 
 
 class ChecksumMismatch(FacemlpError):
-    """A weight file's CRC32 trailer does not match its payload."""
+    """A stored artifact's CRC32 trailer does not match its body."""
 
 
 class WeightsUnavailable(FacemlpError):

@@ -13,6 +13,10 @@ runs the same IEEE operations in the same order as a net trained alone,
 so a net's weights and MSE history never depend on its group. train is
 the group of one. The single-vector forward used for classification is
 separate and unstacked.
+
+ClassModel and AconModel, trained nets labelled with their classes, sit
+beside Weights so that the pool, the store codec and the classifiers all
+use them without importing one another.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, Diverged, InvalidConfig
+from .errors import DimensionMismatch, Diverged, InsufficientClasses, InvalidConfig
 
 # Full-scale experiment defaults; desk-scale runs override both.
 DEFAULT_GOAL = 1e-6
@@ -107,6 +111,39 @@ class TrainingTrace:
     goal: float
     max_epochs: int
     mse_history: list[float] = field(default_factory=list)
+
+
+@dataclass(eq=False)
+class ClassModel:
+    """One trained binary subnet. trace is None when loaded from disk."""
+
+    class_id: int
+    topology: Topology
+    weights: Weights
+    trace: TrainingTrace | None = None
+
+    def __post_init__(self):
+        if self.topology.output_size != 1:
+            raise DimensionMismatch("class subnet must have exactly 1 output")
+
+
+@dataclass(eq=False)
+class AconModel:
+    """Single net with one output per class, in class_ids order."""
+
+    class_ids: tuple[int, ...]
+    topology: Topology
+    weights: Weights
+    trace: TrainingTrace | None = None
+
+    def __post_init__(self):
+        k = len(self.class_ids)
+        if k < 2:
+            raise InsufficientClasses("ACON needs at least 2 classes")
+        if self.topology.output_size != k:
+            raise DimensionMismatch(
+                f"{k} classes but {self.topology.output_size} outputs"
+            )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

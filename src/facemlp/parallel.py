@@ -6,32 +6,39 @@ is seed-deterministic, so the outcome is bit-identical however the jobs
 are spread. Within a worker, the jobs that share a topology and a sample
 count train in lockstep (mlp.train_group), which shares NumPy's per-call
 overhead among them without changing any net's arithmetic: processes
-split the classes, lockstep speeds up each process. Weights are persisted
-as checksummed text files replicated to every store root, and loads fail
-over between replicas.
+split the classes, lockstep speeds up each process.
+
+The weight-file codec lives here too: persist and load encode and decode
+a net's text body, and facemlp.store frames it with its checksum,
+replicates it to every root and fails over between the replicas.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-import zlib
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .classifiers import AconModel, ClassModel
 from .errors import (
-    ChecksumMismatch,
     Diverged,
     FormatError,
     InvalidConfig,
     StoreError,
     WeightsUnavailable,
 )
-from .mlp import Topology, TrainingConfig, Weights, train_group
+from .mlp import AconModel, ClassModel, Topology, TrainingConfig, Weights, train_group
+from .store import (
+    PersistOutcome,
+    WeightStore,
+    read_replicated,
+    verify,
+    write_replicated,
+)
 
 ALLOCATION_POLICIES = ("round_robin", "largest_first")
 ACON_FILENAME = "acon.wts"
@@ -67,19 +74,6 @@ class PoolConfig:
             )
 
 
-@dataclass(frozen=True)
-class WeightStore:
-    """Ordered list of replica directories."""
-
-    roots: tuple[Path, ...]
-
-    def __post_init__(self):
-        roots = tuple(Path(r) for r in self.roots)
-        if not roots:
-            raise InvalidConfig("store needs at least one root")
-        object.__setattr__(self, "roots", roots)
-
-
 @dataclass(eq=False)
 class JobOutcome:
     """Result slot for one job; exactly one of model/error is set.
@@ -97,12 +91,6 @@ class JobOutcome:
     exception: BaseException | None = None
     queue_wait: float = 0.0
     compute_seconds: float = 0.0
-
-
-@dataclass(eq=False)
-class PersistOutcome:
-    written: list[Path] = field(default_factory=list)
-    errors: list[StoreError] = field(default_factory=list)
 
 
 def allocate(jobs: list[TrainingJob], pool: PoolConfig) -> list[list[TrainingJob]]:
@@ -229,23 +217,14 @@ def _serialize(header: str, weights: Weights) -> bytes:
         for row in w:
             lines.append(" ".join(f"{x:.17g}" for x in row))
         lines.append(" ".join(f"{x:.17g}" for x in b))
-    body = ("\n".join(lines) + "\n").encode("ascii")
-    return body + f"CRC32 {zlib.crc32(body):08x}\n".encode("ascii")
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _parse(raw: bytes, expected_magic: str, path: Path):
-    marker = raw.rfind(b"CRC32 ")
-    if marker <= 0 or raw[marker - 1 : marker] != b"\n":
-        raise FormatError(f"{path}: missing checksum trailer")
-    body = raw[:marker]
     try:
-        stated = int(raw[marker + 6 :].split()[0], 16)
-    except (ValueError, IndexError) as exc:
-        raise FormatError(f"{path}: malformed checksum trailer") from exc
-    if zlib.crc32(body) != stated:
-        raise ChecksumMismatch(f"{path}: payload does not match checksum")
-
-    lines = body.decode("ascii").splitlines()
+        lines = verify(raw, path).decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a weight file") from exc
     if len(lines) < 3:
         raise FormatError(f"{path}: truncated weight file")
     magic = lines[0].split()
@@ -286,68 +265,55 @@ def persist(model: ClassModel, store: WeightStore) -> PersistOutcome:
     Roots that cannot be written are reported as StoreErrors in the
     outcome. Raises only when no replica at all could be written.
     """
-    payload = _serialize(f"OCONW1 {model.class_id}", model.weights)
-    return _replicate(payload, class_filename(model.class_id), store)
-
-
-def _replicate(payload: bytes, filename: str, store: WeightStore) -> PersistOutcome:
-    outcome = PersistOutcome()
-    for root in store.roots:
-        try:
-            Path(root).mkdir(parents=True, exist_ok=True)
-            target = Path(root) / filename
-            target.write_bytes(payload)
-            outcome.written.append(target)
-        except OSError as exc:
-            outcome.errors.append(StoreError(f"{root}: {exc}"))
-    if not outcome.written:
-        raise StoreError(
-            f"no replica written for {filename}: "
-            + "; ".join(str(e) for e in outcome.errors)
-        )
-    return outcome
+    body = _serialize(f"OCONW1 {model.class_id}", model.weights)
+    return write_replicated(store, class_filename(model.class_id), body)
 
 
 def read_weight_file(path: str | Path) -> ClassModel:
     """Parse and checksum-validate one OCON weight file."""
     path = Path(path)
-    raw = path.read_bytes()
-    header_ids, sizes, weights = _parse(raw, "OCONW1", path)
+    header_ids, sizes, weights = _parse(path.read_bytes(), "OCONW1", path)
     if len(header_ids) != 1:
         raise FormatError(f"{path}: header must carry exactly one class id")
     return ClassModel(header_ids[0], Topology(tuple(sizes)), weights)
 
 
-def load(class_id: int, store: WeightStore) -> ClassModel:
+def load(class_id: int, store: WeightStore,
+         on_skip: Callable | None = None) -> ClassModel:
     """Fetch a class model from the first root holding a valid replica.
 
-    Missing or corrupt replicas are skipped; only when every root fails
-    does the class become WeightsUnavailable.
+    A replica that is corrupt or holds another class is passed over and
+    reported to on_skip; only when every root fails does the class
+    become WeightsUnavailable.
     """
-    for root in store.roots:
-        path = Path(root) / class_filename(class_id)
-        try:
-            model = read_weight_file(path)
-        except (OSError, FormatError, ChecksumMismatch):
-            continue
-        if model.class_id == class_id:
-            return model
-    raise WeightsUnavailable(class_id)
+    def read(path: Path) -> ClassModel:
+        model = read_weight_file(path)
+        if model.class_id != class_id:
+            raise FormatError(f"{path}: holds class {model.class_id}")
+        return model
+
+    model = read_replicated(store, class_filename(class_id), read, on_skip)
+    if model is None:
+        raise WeightsUnavailable(class_id)
+    return model
 
 
 def persist_acon(model: AconModel, store: WeightStore) -> PersistOutcome:
     """Replicate the single all-classes net; header carries the id order."""
     header = "ACONW1 " + " ".join(str(c) for c in model.class_ids)
-    return _replicate(_serialize(header, model.weights), ACON_FILENAME, store)
+    return write_replicated(store, ACON_FILENAME,
+                            _serialize(header, model.weights))
 
 
-def load_acon(store: WeightStore) -> AconModel:
-    for root in store.roots:
-        path = Path(root) / ACON_FILENAME
-        try:
-            raw = path.read_bytes()
-            class_ids, sizes, weights = _parse(raw, "ACONW1", path)
-            return AconModel(tuple(class_ids), Topology(tuple(sizes)), weights)
-        except (OSError, FormatError, ChecksumMismatch):
-            continue
-    raise StoreError(f"no valid replica of {ACON_FILENAME} in any root")
+def _read_acon(path: Path) -> AconModel:
+    class_ids, sizes, weights = _parse(path.read_bytes(), "ACONW1", path)
+    return AconModel(tuple(class_ids), Topology(tuple(sizes)), weights)
+
+
+def load_acon(store: WeightStore,
+              on_skip: Callable | None = None) -> AconModel:
+    """The all-classes net from the first root holding a valid replica."""
+    model = read_replicated(store, ACON_FILENAME, _read_acon, on_skip)
+    if model is None:
+        raise StoreError(f"no valid replica of {ACON_FILENAME} in any root")
+    return model

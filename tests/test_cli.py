@@ -1,8 +1,16 @@
+import contextlib
+import io
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facemlp.cli import main
+from facemlp.errors import FacemlpError
+from facemlp.store import verify
 
 DATASET = ["--classes", "2", "--train", "4", "--test", "12",
            "--side", "8", "--seed", "3"]
@@ -182,6 +190,119 @@ def test_downsample_mismatch_is_config_error(tmp_path, capsys):
                  *SPEED, "--downsample", "2"])
     assert code == 2
     assert "downsample" in capsys.readouterr().err
+
+
+def test_components_change_is_config_error(tmp_path, capsys):
+    data = synth(tmp_path)
+    store = store_arg(tmp_path)
+    assert run_train(tmp_path, data, store) == 0
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--store", store,
+                 "--components", "4", "--goal", "1e-2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--components" in err and "--downsample" in err
+
+
+def test_train_leaves_no_temp_files(tmp_path):
+    data = synth(tmp_path)
+    store = store_arg(tmp_path)
+    assert run_train(tmp_path, data, store) == 0
+    assert run_train(tmp_path, data, store, "--mode", "acon") == 0
+    for root in ("ra", "rb"):
+        names = {p.name for p in (tmp_path / root).iterdir() if p.is_file()}
+        assert names == {"class_1.wts", "class_2.wts", "acon.wts",
+                         "eigenspace.txt"}
+
+
+def flip_byte(path: Path, pos: int, mask: int = 0x01) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[pos % len(raw)] ^= mask
+    path.write_bytes(bytes(raw))
+
+
+def evaluate_csv(data, roots, mode, out: Path) -> bytes:
+    assert main(["evaluate", "--data", str(data), "--store",
+                 ":".join(str(r) for r in roots), "--mode", mode,
+                 "--format", "csv", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """One OCON and one ACON training in a two-root store, plus the
+    evaluate output of each mode with every replica intact."""
+    base = tmp_path_factory.mktemp("trained")
+    data = synth(base)
+    store = store_arg(base)
+    assert run_train(base, data, store) == 0
+    assert run_train(base, data, store, "--mode", "acon") == 0
+    roots = (base / "ra", base / "rb")
+    intact = {mode: evaluate_csv(data, roots, mode, base / f"{mode}.csv")
+              for mode in ("ocon", "acon")}
+    return data, roots, intact
+
+
+def test_evaluate_reports_a_corrupt_weight_replica(trained, tmp_path,
+                                                   capsys):
+    data, roots, intact = trained
+    copies = [shutil.copytree(r, tmp_path / r.name) for r in roots]
+    flip_byte(copies[0] / "class_1.wts", 40)
+    capsys.readouterr()
+    assert evaluate_csv(data, copies, "ocon",
+                        tmp_path / "out.csv") == intact["ocon"]
+    err = capsys.readouterr().err
+    assert "warning:" in err and "class_1.wts" in err
+
+
+def test_evaluate_ignores_an_edited_eigenspace_value(trained, tmp_path,
+                                                     capsys):
+    data, roots, intact = trained
+    copies = [shutil.copytree(r, tmp_path / r.name) for r in roots]
+    victim = copies[0] / "eigenspace.txt"
+    lines = victim.read_bytes().split(b"\n")
+    values = lines[1].split(b" ")
+    values[0] = b"0.5" if values[0] != b"0.5" else b"0.25"
+    lines[1] = b" ".join(values)
+    victim.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert evaluate_csv(data, copies, "ocon",
+                        tmp_path / "out.csv") == intact["ocon"]
+    assert "eigenspace.txt" in capsys.readouterr().err
+
+
+ARTIFACTS = {"class_1.wts": "ocon", "class_2.wts": "ocon",
+             "eigenspace.txt": "ocon", "acon.wts": "acon"}
+
+
+def still_verifies(raw: bytes, original: bytes) -> bool:
+    try:
+        return verify(raw, "replica") == verify(original, "replica")
+    except FacemlpError:
+        return False
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(ARTIFACTS)), root=st.sampled_from([0, 1]),
+       pos=st.integers(min_value=0, max_value=10**6),
+       mask=st.integers(min_value=1, max_value=255))
+def test_any_single_byte_mutation_keeps_evaluate_output(trained, name, root,
+                                                        pos, mask):
+    data, roots, intact = trained
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = [shutil.copytree(r, Path(tmp) / r.name) for r in roots]
+        victim = copies[root] / name
+        original = victim.read_bytes()
+        flip_byte(victim, pos, mask)
+        mode = ARTIFACTS[name]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            out = evaluate_csv(data, copies, mode, Path(tmp) / "out.csv")
+        assert out == intact[mode]
+        # the first root is read first: a replica the mutation broke there
+        # is reported by name
+        if root == 0 and not still_verifies(victim.read_bytes(), original):
+            assert name in err.getvalue()
 
 
 def test_missing_manifest_is_fatal(tmp_path):

@@ -5,18 +5,21 @@ from facemlp.eigenspace import (
     Eigenspace,
     compute_eigenspace,
     eig_symmetric,
+    fingerprint,
     load_eigenspace,
     project,
     reconstruct,
     save_eigenspace,
 )
 from facemlp.errors import (
+    ChecksumMismatch,
     DimensionMismatch,
     FileError,
     FormatError,
     InsufficientData,
     NotSymmetric,
 )
+from facemlp.store import frame
 
 
 def random_symmetric(n, seed):
@@ -172,37 +175,73 @@ def test_save_load_roundtrip_is_exact(tmp_path):
     assert np.array_equal(loaded.mean, space.mean)
     assert np.array_equal(loaded.eigenvalues, space.eigenvalues)
     assert np.array_equal(loaded.basis, space.basis)
+    assert loaded.fingerprint == space.fingerprint
+
+
+def test_fingerprint_names_the_training_matrix_and_m():
+    vecs = training_vectors(10, 24, seed=8)
+    space = compute_eigenspace(vecs, m=5)
+    assert space.fingerprint == fingerprint(vecs, 5)
+    assert space.fingerprint != fingerprint(vecs, 4)
+    vecs[3] = vecs[3] + 1e-12
+    assert space.fingerprint != fingerprint(vecs, 5)
+
+
+def test_load_verifies_the_checksum_trailer(tmp_path):
+    space = compute_eigenspace(training_vectors(6, 12, seed=2), m=3)
+    p = tmp_path / "space.txt"
+    save_eigenspace(space, p)
+    raw = p.read_bytes()
+    assert raw.splitlines()[-1].startswith(b"CRC32 ")
+    # an edited digit of the first mean value ("0.xxx") still parses, so
+    # only the checksum can catch it
+    pos = raw.index(b"\n") + 3
+    assert raw[pos:pos + 1].isdigit()
+    digit = bytes([ord("0") + (raw[pos] - ord("0") + 1) % 10])
+    p.write_bytes(raw[:pos] + digit + raw[pos + 1:])
+    with pytest.raises(ChecksumMismatch):
+        load_eigenspace(p)
+    p.write_bytes(raw[:raw.rindex(b"CRC32 ")])
+    with pytest.raises(FormatError):
+        load_eigenspace(p)
+
+
+# The fixtures below carry a valid trailer, so each reaches the check it
+# names rather than failing on the checksum.
+def write_framed(path, body: bytes):
+    path.write_bytes(frame(body))
 
 
 def test_load_rejects_bad_header(tmp_path):
     p = tmp_path / "space.txt"
-    p.write_text("NOPE 3 1\n0 0 0\n1\n1 0 0\n")
-    with pytest.raises(FormatError):
+    write_framed(p, b"NOPE 3 1 0:1\n0 0 0\n1\n1 0 0\n")
+    with pytest.raises(FormatError, match="not an EIGEN1 file"):
         load_eigenspace(p)
 
 
 def test_load_rejects_wrong_count(tmp_path):
     p = tmp_path / "space.txt"
-    p.write_text("EIGEN1 3 1\n0 0 0\n1\n1 0\n")
-    with pytest.raises(FormatError):
+    write_framed(p, b"EIGEN1 3 1 0:1\n0 0 0\n1\n1 0\n")
+    with pytest.raises(FormatError, match="expected 7 values"):
         load_eigenspace(p)
 
 
 def test_load_rejects_garbage_number(tmp_path):
     p = tmp_path / "space.txt"
-    p.write_text("EIGEN1 2 1\n0 zero\n1\n1 0\n")
-    with pytest.raises(FormatError):
+    write_framed(p, b"EIGEN1 2 1 0:1\n0 zero\n1\n1 0\n")
+    with pytest.raises(FormatError, match="malformed numeric"):
         load_eigenspace(p)
 
 
-@pytest.mark.parametrize("raw", [
-    b"\x89PNG\r\n\x1a\n\xff\xfe garbage",
-    b"EIGEN1 -2 -2\n",    # the value count checks out: -2 - 2 + 4 == 0
+@pytest.mark.parametrize("raw, reason", [
+    (b"\x89PNG\r\n\x1a\n\xff\xfe garbage\n", "not an EIGEN1 file"),
+    # the value count checks out: -2 - 2 + 4 == 0
+    (b"EIGEN1 -2 -2 0:1\n", "bad shape"),
 ], ids=["not_ascii", "negative_shape"])
-def test_load_rejects_undecodable_or_bad_shape(tmp_path, raw):
+def test_load_rejects_undecodable_or_bad_shape(tmp_path, raw, reason):
     p = tmp_path / "space.txt"
-    p.write_bytes(raw)
-    with pytest.raises(FormatError):
+    write_framed(p, raw)
+    with pytest.raises(FormatError, match=reason):
         load_eigenspace(p)
 
 

@@ -31,6 +31,7 @@ from facemlp.parallel import (
     read_weight_file,
     run_pool,
 )
+from facemlp.store import frame
 
 TOPO = Topology((2, 3, 1))
 CFG = TrainingConfig(learning_rate=0.3, momentum=0.8, goal=1e-2,
@@ -314,6 +315,19 @@ def test_corruption_detected_and_failed_over(tmp_path):
         assert np.array_equal(x, y)
 
 
+def test_load_reports_a_replica_holding_another_class(tmp_path):
+    store = WeightStore((tmp_path / "a", tmp_path / "b"))
+    persist(random_model(2, seed=5), store)
+    persist(random_model(3, seed=6), store)
+    stray = tmp_path / "a" / class_filename(2)
+    stray.write_bytes((tmp_path / "a" / class_filename(3)).read_bytes())
+    skipped = []
+    loaded = load(2, store, lambda path, exc: skipped.append((path, exc)))
+    assert loaded.class_id == 2
+    assert [path for path, _ in skipped] == [stray]
+    assert isinstance(skipped[0][1], FormatError)
+
+
 def test_load_exhaustion(tmp_path):
     store = WeightStore((tmp_path / "a", tmp_path / "b"))
     with pytest.raises(WeightsUnavailable) as err:
@@ -346,6 +360,13 @@ def test_read_rejects_parameter_count_mismatch(tmp_path):
 def test_missing_trailer_rejected(tmp_path):
     p = tmp_path / "x.wts"
     p.write_bytes(b"OCONW1 1\n2 1\n0 0\n0\n")
+    with pytest.raises(FormatError):
+        read_weight_file(p)
+
+
+def test_non_ascii_body_with_valid_checksum_rejected(tmp_path):
+    p = tmp_path / "class_1.wts"
+    p.write_bytes(frame(b"OCONW1 1\n2 1\n0 \xff\n0\n"))
     with pytest.raises(FormatError):
         read_weight_file(p)
 
