@@ -10,7 +10,8 @@ Eigenvalues are stored on the 1/n covariance scale so persisted spaces are
 reproducible regardless of how the caller normalizes. A space carries the
 fingerprint of the inputs it was built from, so a stored space is reused
 only for the same training matrix and requested component count. Its
-file is framed and replicated by facemlp.store like the weight files.
+file is an ASCII header line over raw little-endian float64 values,
+framed and replicated by facemlp.store like the weight files.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .store import WeightStore, verify, write_replicated
 
 DEFAULT_COMPONENTS = 40
 EIGENSPACE_FILENAME = "eigenspace.txt"
+_MAGIC = "EIGEN2"
 NEGLIGIBLE_EIGENVALUE = 1e-12
 
 
@@ -143,18 +145,14 @@ def reconstruct(space: Eigenspace, coeffs: np.ndarray) -> np.ndarray:
     return space.mean + space.basis @ coeffs
 
 
-def _format_row(values: np.ndarray) -> str:
-    return " ".join(f"{x:.17g}" for x in values)
-
-
 def encode_eigenspace(space: Eigenspace) -> bytes:
-    """The text body of an eigenspace file: a header with the shape and
-    fingerprint, then the mean, the eigenvalues and each basis column."""
-    lines = [f"EIGEN1 {space.dim} {space.components} {space.fingerprint}",
-             _format_row(space.mean), _format_row(space.eigenvalues)]
-    for i in range(space.components):
-        lines.append(_format_row(space.basis[:, i]))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    """The body of an eigenspace file: an ASCII header line with the shape
+    and fingerprint, then the mean, the eigenvalues and each basis column
+    as raw little-endian float64 (exact by construction), then a newline."""
+    header = f"{_MAGIC} {space.dim} {space.components} {space.fingerprint}\n"
+    values = np.concatenate([space.mean, space.eigenvalues,
+                             space.basis.T.ravel()])
+    return header.encode("ascii") + values.astype("<f8").tobytes() + b"\n"
 
 
 def save_eigenspace(space: Eigenspace, path: str | Path) -> None:
@@ -165,32 +163,32 @@ def save_eigenspace(space: Eigenspace, path: str | Path) -> None:
 
 
 def load_eigenspace(path: str | Path) -> Eigenspace:
-    """Read and checksum-validate a space written by encode_eigenspace."""
+    """Read and checksum-validate a space written by encode_eigenspace;
+    the body must hold exactly d + m + m*d values and its final newline."""
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise FileError(f"cannot read eigenspace {path}: {exc}") from exc
+    header, _, body = verify(raw, path).partition(b"\n")
     try:
-        header, _, rest = verify(raw, path).decode("ascii").partition("\n")
+        fields = header.decode("ascii").split()
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not an EIGEN1 file") from exc
-    fields = header.split()
-    if len(fields) != 4 or fields[0] != "EIGEN1":
-        raise FormatError(f"{path}: not an EIGEN1 file")
+        raise FormatError(f"{path}: not an {_MAGIC} file") from exc
+    if fields[:1] == ["EIGEN1"]:
+        raise FormatError(f"{path}: old EIGEN1 text eigenspace; retrain")
+    if len(fields) != 4 or fields[0] != _MAGIC:
+        raise FormatError(f"{path}: not an {_MAGIC} file")
     try:
         d, m = int(fields[1]), int(fields[2])
-        values = np.array([float(t) for t in rest.split()])
     except ValueError as exc:
         raise FormatError(f"{path}: malformed numeric field") from exc
     if d < 1 or m < 1:
         raise FormatError(f"{path}: bad shape {d} x {m}")
-    expected = d + m + m * d
-    if values.shape[0] != expected:
-        raise FormatError(
-            f"{path}: expected {expected} values, found {values.shape[0]}"
-        )
-    mean = values[:d]
-    eigenvalues = values[d : d + m]
+    count = d + m + m * d
+    if len(body) != 8 * count + 1 or body[-1:] != b"\n":
+        raise FormatError(f"{path}: expected {count} values and a newline "
+                          f"({8 * count + 1} bytes), found {len(body)} bytes")
+    values = np.frombuffer(body, dtype="<f8", count=count).astype(np.float64)
     basis = values[d + m :].reshape(m, d).T.copy()
-    return Eigenspace(d, mean, basis, eigenvalues, fields[3])
+    return Eigenspace(d, values[:d], basis, values[d : d + m], fields[3])

@@ -78,11 +78,11 @@ class PoolConfig:
 class JobOutcome:
     """Result slot for one job; exactly one of model/error is set.
 
-    queue_wait is the gap between the job becoming runnable (its bucket
-    submitted and the bucket's previous lockstep group done) and the
-    moment its own group started. compute_seconds is the job's share of
-    its group's training time, in proportion to the epochs it ran, so the
-    compute times of a bucket sum to the bucket's real compute time.
+    queue_wait and compute_seconds are the job's shares, in proportion to
+    the epochs it ran, of its lockstep group's wait (from the group being
+    runnable, its bucket submitted and the previous group done, to its
+    start) and training time, so a bucket's waits and compute times sum
+    to its real wait and real compute time.
     """
 
     class_id: int
@@ -121,11 +121,11 @@ def _run_job_list(jobs: list[TrainingJob], submitted_at: float):
 
     Jobs that share a topology and a sample count form a group, in order
     of first appearance, and each group trains in lockstep through
-    train_group. A job's queue wait counts from the later of the bucket's
-    submission and the end of the previous group to the start of its own
-    group. Its compute time is its share of the group's elapsed time, in
-    proportion to the epochs it ran, so a bucket's compute times sum to
-    its real compute time.
+    train_group. A group waits from the later of the bucket's submission
+    and the end of the previous group to its own start. Each job gets a
+    share of its group's wait and of its elapsed time, in proportion to
+    the epochs it ran, so a bucket's waits and compute times sum to its
+    real wait and real compute time.
 
     Returns plain tuples because the results may cross a process
     boundary.
@@ -137,7 +137,7 @@ def _run_job_list(jobs: list[TrainingJob], submitted_at: float):
     results = []
     ready_at = submitted_at
     for (topology, _), group in groups.items():
-        picked_up = time.monotonic()
+        waited = time.monotonic() - ready_at
         started = time.perf_counter()
         try:
             trained = train_group(topology, [job.task for job in group],
@@ -154,7 +154,7 @@ def _run_job_list(jobs: list[TrainingJob], submitted_at: float):
             else:
                 (weights, trace), err = result, None
             results.append((job.class_id, weights, trace, err,
-                            picked_up - ready_at, elapsed * share))
+                            waited * share, elapsed * share))
         ready_at = time.monotonic()
     return results
 

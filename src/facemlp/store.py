@@ -1,10 +1,11 @@
 """Replicated, checksummed artifact files.
 
 Every stored artifact (a class net, the all-classes net, the eigenspace)
-is a text body plus one trailer line, `CRC32 <hex>`, the CRC32 of the
-body. This module owns that framing, the one write that puts a framed
-body in every root of a store, and the one read that fails over between
-the replicas. Each artifact keeps only the codec for its own body.
+is a body ending in a newline (text for weights, an ASCII header over raw
+float64 for the eigenspace) plus one trailer line, `CRC32 <hex>`, the
+CRC32 of the body. This module owns that framing, the one write that
+puts a framed body in every root of a store, and the one read that fails
+over between the replicas. Each artifact keeps only its body's codec.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class PersistOutcome:
 
 
 def frame(body: bytes) -> bytes:
-    """Append the CRC32 trailer line to a body of newline-ended lines."""
+    """Append the CRC32 trailer line to a body that ends in a newline."""
     return body + f"CRC32 {zlib.crc32(body):08x}\n".encode("ascii")
 
 

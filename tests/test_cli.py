@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from facemlp.cli import main
 from facemlp.errors import FacemlpError
-from facemlp.store import verify
+from facemlp.store import frame, verify
 
 DATASET = ["--classes", "2", "--train", "4", "--test", "12",
            "--side", "8", "--seed", "3"]
@@ -204,6 +204,25 @@ def test_components_change_is_config_error(tmp_path, capsys):
     assert "--components" in err and "--downsample" in err
 
 
+def test_text_eigenspace_of_an_older_store_is_rebuilt_by_train(tmp_path,
+                                                              capsys):
+    data = synth(tmp_path)
+    store = store_arg(tmp_path)
+    assert run_train(tmp_path, data, store) == 0
+    built = (tmp_path / "ra" / "eigenspace.txt").read_bytes()
+    for root in ("ra", "rb"):
+        (tmp_path / root / "eigenspace.txt").write_bytes(
+            frame(b"EIGEN1 3 1 0:1\n0 0 0\n1\n1 0 0\n"))
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data), "--store", store]) == 1
+    err = capsys.readouterr().err
+    assert "EIGEN1" in err and "retrain" in err
+    assert run_train(tmp_path, data, store) == 0
+    assert "EIGEN1" in capsys.readouterr().err
+    for root in ("ra", "rb"):
+        assert (tmp_path / root / "eigenspace.txt").read_bytes() == built
+
+
 def test_train_leaves_no_temp_files(tmp_path):
     data = synth(tmp_path)
     store = store_arg(tmp_path)
@@ -269,6 +288,21 @@ def test_evaluate_ignores_an_edited_eigenspace_value(trained, tmp_path,
     assert evaluate_csv(data, copies, "ocon",
                         tmp_path / "out.csv") == intact["ocon"]
     assert "eigenspace.txt" in capsys.readouterr().err
+
+
+def test_evaluate_fails_over_a_flipped_bit_of_an_eigenspace_value(
+        trained, tmp_path, capsys):
+    # The body keeps its length and decodes, so only the checksum can
+    # tell this replica from an intact one.
+    data, roots, intact = trained
+    copies = [shutil.copytree(r, tmp_path / r.name) for r in roots]
+    victim = copies[0] / "eigenspace.txt"
+    flip_byte(victim, victim.read_bytes().index(b"\n") + 1)
+    capsys.readouterr()
+    assert evaluate_csv(data, copies, "ocon",
+                        tmp_path / "out.csv") == intact["ocon"]
+    err = capsys.readouterr().err
+    assert "eigenspace.txt" in err and "checksum" in err
 
 
 ARTIFACTS = {"class_1.wts": "ocon", "class_2.wts": "ocon",

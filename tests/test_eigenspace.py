@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from facemlp.eigenspace import (
     Eigenspace,
     compute_eigenspace,
     eig_symmetric,
+    encode_eigenspace,
     fingerprint,
     load_eigenspace,
     project,
@@ -187,20 +191,31 @@ def test_fingerprint_names_the_training_matrix_and_m():
     assert space.fingerprint != fingerprint(vecs, 5)
 
 
+def write_framed(path, body: bytes):
+    path.write_bytes(frame(body))
+
+
+def f8(*values) -> bytes:
+    """Values as the raw little-endian float64 of an eigenspace body."""
+    return np.array(values, dtype="<f8").tobytes()
+
+
 def test_load_verifies_the_checksum_trailer(tmp_path):
     space = compute_eigenspace(training_vectors(6, 12, seed=2), m=3)
     p = tmp_path / "space.txt"
     save_eigenspace(space, p)
     raw = p.read_bytes()
     assert raw.splitlines()[-1].startswith(b"CRC32 ")
-    # an edited digit of the first mean value ("0.xxx") still parses, so
-    # only the checksum can catch it
-    pos = raw.index(b"\n") + 3
-    assert raw[pos:pos + 1].isdigit()
-    digit = bytes([ord("0") + (raw[pos] - ord("0") + 1) % 10])
-    p.write_bytes(raw[:pos] + digit + raw[pos + 1:])
+    # one flipped bit of the first mean value still decodes to a float of
+    # the right count, so only the checksum can catch it
+    pos = raw.index(b"\n") + 1
+    edited = raw[:pos] + bytes([raw[pos] ^ 0x01]) + raw[pos + 1:]
+    p.write_bytes(edited)
     with pytest.raises(ChecksumMismatch):
         load_eigenspace(p)
+    body = edited[:edited.rindex(b"CRC32 ")]
+    write_framed(p, body)
+    assert load_eigenspace(p).mean[0] != space.mean[0]
     p.write_bytes(raw[:raw.rindex(b"CRC32 ")])
     with pytest.raises(FormatError):
         load_eigenspace(p)
@@ -208,41 +223,97 @@ def test_load_verifies_the_checksum_trailer(tmp_path):
 
 # The fixtures below carry a valid trailer, so each reaches the check it
 # names rather than failing on the checksum.
-def write_framed(path, body: bytes):
-    path.write_bytes(frame(body))
-
-
 def test_load_rejects_bad_header(tmp_path):
     p = tmp_path / "space.txt"
-    write_framed(p, b"NOPE 3 1 0:1\n0 0 0\n1\n1 0 0\n")
-    with pytest.raises(FormatError, match="not an EIGEN1 file"):
+    write_framed(p, b"NOPE 3 1 0:1\n" + f8(0, 0, 0, 1, 1, 0, 0) + b"\n")
+    with pytest.raises(FormatError, match="not an EIGEN2 file"):
         load_eigenspace(p)
 
 
 def test_load_rejects_wrong_count(tmp_path):
     p = tmp_path / "space.txt"
-    write_framed(p, b"EIGEN1 3 1 0:1\n0 0 0\n1\n1 0\n")
+    write_framed(p, b"EIGEN2 3 1 0:1\n" + f8(0, 0, 0, 1, 1, 0) + b"\n")
     with pytest.raises(FormatError, match="expected 7 values"):
         load_eigenspace(p)
 
 
 def test_load_rejects_garbage_number(tmp_path):
     p = tmp_path / "space.txt"
-    write_framed(p, b"EIGEN1 2 1 0:1\n0 zero\n1\n1 0\n")
+    write_framed(p, b"EIGEN2 2 one 0:1\n" + f8(0, 0, 1, 1, 0) + b"\n")
     with pytest.raises(FormatError, match="malformed numeric"):
         load_eigenspace(p)
 
 
 @pytest.mark.parametrize("raw, reason", [
-    (b"\x89PNG\r\n\x1a\n\xff\xfe garbage\n", "not an EIGEN1 file"),
-    # the value count checks out: -2 - 2 + 4 == 0
-    (b"EIGEN1 -2 -2 0:1\n", "bad shape"),
+    (b"\x89PNG\r\n\x1a\n\xff\xfe garbage\n", "not an EIGEN2 file"),
+    # the body size checks out: 8 * (-2 - 2 + 4) + 1 == 1
+    (b"EIGEN2 -2 -2 0:1\n\n", "bad shape"),
 ], ids=["not_ascii", "negative_shape"])
 def test_load_rejects_undecodable_or_bad_shape(tmp_path, raw, reason):
     p = tmp_path / "space.txt"
     write_framed(p, raw)
     with pytest.raises(FormatError, match=reason):
         load_eigenspace(p)
+
+
+def small_body() -> bytes:
+    space = Eigenspace(3, np.zeros(3), np.eye(3)[:, :1], np.ones(1), "0:1")
+    return encode_eigenspace(space)
+
+
+@pytest.mark.parametrize("body, reason", [
+    (small_body()[:-2] + b"\n", "expected 7 values"),
+    (small_body()[:-1] + f8(0.5) + b"\n", "expected 7 values"),
+    # without its final newline the body no longer ends where the trailer
+    # starts
+    (small_body()[:-1], "missing checksum trailer"),
+    (b"EIGEN1 3 1 0:1\n0 0 0\n1\n1 0 0\n", "old EIGEN1 text eigenspace"),
+], ids=["one_byte_short", "one_value_too_long", "no_final_newline",
+        "eigen1_text"])
+def test_load_rejects_a_malformed_binary_body(tmp_path, body, reason):
+    p = tmp_path / "space.txt"
+    write_framed(p, body)
+    with pytest.raises(FormatError, match=reason):
+        load_eigenspace(p)
+
+
+def test_small_body_is_valid(tmp_path):
+    p = tmp_path / "space.txt"
+    write_framed(p, small_body())
+    assert load_eigenspace(p).basis.tolist() == [[1.0], [0.0], [0.0]]
+
+
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308)
+FLOAT64 = st.one_of(st.sampled_from(EDGE_VALUES),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 9), m=st.integers(1, 5),
+       crc=st.integers(0, 2**32 - 1))
+def test_codec_roundtrip_is_bit_identical(tmp_path_factory, data, d, m, crc):
+    def draw(*shape):
+        return data.draw(arrays(np.float64, shape, elements=FLOAT64))
+
+    space = Eigenspace(d, draw(d), draw(d, m), draw(m), f"{crc:08x}:{m}")
+    p = tmp_path_factory.mktemp("codec") / "space.txt"
+    save_eigenspace(space, p)
+    loaded = load_eigenspace(p)
+    assert (loaded.dim, loaded.components) == (d, m)
+    assert loaded.mean.tobytes() == space.mean.tobytes()
+    assert loaded.eigenvalues.tobytes() == space.eigenvalues.tobytes()
+    assert loaded.basis.tobytes() == space.basis.tobytes()
+    assert loaded.fingerprint == space.fingerprint
+
+
+def test_body_is_header_then_raw_little_endian_float64():
+    space = compute_eigenspace(training_vectors(6, 12, seed=2), m=3)
+    header, _, values = encode_eigenspace(space).partition(b"\n")
+    assert header == f"EIGEN2 12 3 {space.fingerprint}".encode("ascii")
+    assert len(values) == 8 * (12 + 3 + 3 * 12) + 1
+    assert values.endswith(b"\n")
+    assert values[:8] == np.array(space.mean[0], dtype="<f8").tobytes()
 
 
 def test_load_missing_file(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facemlp.errors import (
+    FacemlpError,
     FileError,
     InvalidConfig,
     ManifestSyntax,
@@ -105,6 +106,46 @@ def test_ascii_negative_sample():
 def test_any_image_roundtrips(width, height, binary, seed):
     img = make_image(width, height, seed)
     assert parse_pgm(serialize_pgm(img, binary=binary)).same_pixels(img)
+
+
+MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6), st.just(0)),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.integers(0, 255)),
+)
+
+
+def mutate(data: bytes, kind: str, pos: int, value: int) -> bytes:
+    if kind == "insert":
+        pos %= len(data) + 1
+        return data[:pos] + bytes([value]) + data[pos:]
+    if not data:
+        return data
+    pos %= len(data)
+    if kind == "flip":
+        return data[:pos] + bytes([data[pos] ^ value]) + data[pos + 1:]
+    return data[:pos]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 6),
+    height=st.integers(1, 6),
+    binary=st.booleans(),
+    seed=st.integers(0, 2**20),
+    mutations=st.lists(MUTATION, min_size=1, max_size=4),
+)
+def test_mutated_pgm_raises_only_facemlp_errors(width, height, binary, seed,
+                                                mutations):
+    data = serialize_pgm(make_image(width, height, seed), binary=binary)
+    for kind, pos, value in mutations:
+        data = mutate(data, kind, pos, value)
+    try:
+        image = parse_pgm(data)
+    except FacemlpError:
+        return
+    assert image.pixels.dtype == np.uint8
+    assert image.pixels.size == image.width * image.height
 
 
 def test_to_vector_scales_to_unit_interval():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -120,6 +122,18 @@ def test_queue_wait_excludes_earlier_jobs_compute():
     total_wait = sum(o.queue_wait for o in outcomes)
     total_compute = sum(o.compute_seconds for o in outcomes)
     assert total_wait < OVERHEAD_WARN_RATIO * total_compute
+
+
+def test_queue_wait_of_a_group_is_shared_not_repeated():
+    # Six jobs of one topology and size train as one lockstep group that
+    # waited about a second; their waits must sum to that one wait, not
+    # count it once per job.
+    submitted = time.monotonic() - 1.0
+    earliest = time.monotonic() - submitted
+    results = parallel._run_job_list(make_jobs(6), submitted)
+    latest = time.monotonic() - submitted
+    total_wait = sum(waited for *_, waited, _ in results)
+    assert earliest - 1e-9 <= total_wait <= latest
 
 
 def test_run_pool_parallel_equals_sequential():
