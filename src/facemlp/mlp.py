@@ -152,6 +152,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-z))
 
 
+# The float64 values nearest 0 and 1, between which forward's output is held.
+_OUT_LO = np.finfo(np.float64).tiny
+_OUT_HI = np.nextafter(1.0, 0.0)
+
+
 def init_weights(topology: Topology, seed: int) -> Weights:
     """Draw weights uniformly from [-1/sqrt(fan_in), +1/sqrt(fan_in)].
 
@@ -184,6 +189,11 @@ def forward(weights: Weights, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     for w, b in zip(weights.weights, weights.biases):
         a = _sigmoid(w @ a + b)
         acts.append(a)
+    # In float64, 1 + exp(-z) rounds to 1 for z above about 37 and exp
+    # overflows for z below about -709, so a saturated output unit reads
+    # exactly 1 or 0; the clamp keeps every output strictly inside (0, 1).
+    np.minimum(a, _OUT_HI, out=a)
+    np.maximum(a, _OUT_LO, out=a)
     return a, acts
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facemlp.errors import DimensionMismatch, Diverged, InvalidConfig
@@ -110,6 +110,7 @@ def test_forward_dimension_check():
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**20), scale=st.floats(0.1, 30.0))
+@example(seed=582, scale=29.0)  # an output unit saturates: its z is about 37.2
 def test_forward_outputs_in_open_interval(seed, scale):
     rng = np.random.default_rng(seed)
     w = init_weights(Topology((3, 4, 2)), seed=seed)
