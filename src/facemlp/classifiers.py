@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     EmptyClass,
     InsufficientClasses,
+    InvalidConfig,
     NoCounterexamples,
 )
 from .mlp import AconModel, ClassModel, Topology, TrainingConfig, forward, train
@@ -93,18 +94,21 @@ def _subsample_negatives(task, cap: int, seed: int):
             if pair[1] == 1.0 or i in keep]
 
 
-def build_ocon_jobs(train_samples, topology: Topology,
-                    config: TrainingConfig,
+def build_ocon_jobs(train_samples, hidden: int, config: TrainingConfig,
                     max_negatives: int | None = None) -> list[TrainingJob]:
     """One pool job per class, in class_id order.
 
-    Each job trains on its class's relabelled task, with negatives capped
-    at max_negatives when given, and with the config's seed offset by
-    class_id so the subnets start from distinct weights.
+    Each job trains a (feature dim, hidden, 1) net on its class's
+    relabelled task, with negatives capped at max_negatives when given,
+    and with the config's seed offset by class_id so the subnets start
+    from distinct weights.
     """
     class_ids = sorted({cid for _, cid in train_samples})
     if len(class_ids) < 2:
         raise InsufficientClasses(f"need >= 2 classes, got {class_ids}")
+    if max_negatives is not None and max_negatives < 1:
+        raise InvalidConfig("max_negatives must be >= 1")
+    topology = Topology((len(train_samples[0][0]), hidden, 1))
     jobs = []
     for cid in class_ids:
         task = build_ocon_task(cid, train_samples)
@@ -115,33 +119,31 @@ def build_ocon_jobs(train_samples, topology: Topology,
     return jobs
 
 
-def train_ocon(train_samples, topology_template: Topology | None = None,
+def train_ocon(train_samples, hidden: int = OCON_HIDDEN,
                config: TrainingConfig | None = None, pool=None,
                max_negatives: int | None = None) -> OconEnsemble:
     """Train one subnet per class and bundle them.
 
-    Every subnet shares the topology template (input m, default hidden
-    20, output 1); only the weights differ. Training runs through the
-    worker pool; any job failure is re-raised here.
+    Every subnet is a (feature dim, hidden, 1) net; only the weights
+    differ. Training runs through the worker pool; any job failure is
+    re-raised here.
     """
-    config = config or TrainingConfig()
-    m = int(np.asarray(train_samples[0][0]).shape[0])
-    topology = topology_template or Topology((m, OCON_HIDDEN, 1))
-    jobs = build_ocon_jobs(train_samples, topology, config, max_negatives)
+    jobs = build_ocon_jobs(train_samples, hidden, config or TrainingConfig(),
+                           max_negatives)
     outcomes = run_pool(jobs, pool or PoolConfig())
     for outcome in outcomes:
         if outcome.model is None:
             raise outcome.exception
-    return OconEnsemble([o.model for o in outcomes], m)
+    return OconEnsemble([o.model for o in outcomes],
+                        jobs[0].topology.input_size)
 
 
-def train_acon(train_samples, topology_template: Topology | None = None,
+def train_acon(train_samples, hidden: int = ACON_HIDDEN,
                config: TrainingConfig | None = None) -> AconModel:
-    """Train the single all-classes network."""
+    """Train the single (feature dim, hidden, class count) network."""
     config = config or TrainingConfig()
     task, class_ids = build_acon_task(train_samples)
-    m = int(np.asarray(train_samples[0][0]).shape[0])
-    topology = topology_template or Topology((m, ACON_HIDDEN, len(class_ids)))
+    topology = Topology((len(train_samples[0][0]), hidden, len(class_ids)))
     weights, trace = train(topology, task, config)
     return AconModel(tuple(class_ids), topology, weights, trace)
 

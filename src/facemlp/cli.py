@@ -29,7 +29,7 @@ from .errors import (
     WeightsUnavailable,
 )
 from .imageio import downsample, load_manifest, generate_synthetic, to_vector, write_dataset
-from .mlp import Topology, TrainingConfig
+from .mlp import TrainingConfig
 from .parallel import PoolConfig
 from .store import WeightStore, read_replicated, write_replicated
 
@@ -58,8 +58,8 @@ def _load_vectors(data: str, factor: int):
     _, samples = load_manifest(manifest_path)
     pairs = []
     for s in samples:
-        image = downsample(s.image, factor) if factor > 1 else s.image
-        pairs.append((to_vector(image), s.class_id, s.role))
+        pairs.append((to_vector(downsample(s.image, factor)), s.class_id,
+                      s.role))
     train = [(v, c) for v, c, role in pairs if role == "train"]
     test = [(v, c) for v, c, role in pairs if role == "test"]
     return train, test
@@ -121,7 +121,6 @@ def cmd_train(args) -> int:
     space = _obtain_eigenspace(store, [v for v, _ in train_pairs],
                                args.components)
     features = [(project(space, v), c) for v, c in train_pairs]
-    m = space.components
     config = TrainingConfig(learning_rate=args.lr, momentum=args.momentum,
                             goal=args.goal, max_epochs=args.max_epochs,
                             seed=args.seed)
@@ -129,10 +128,8 @@ def cmd_train(args) -> int:
         else Path(store.roots[0]) / "traces"
 
     if args.mode == "acon":
-        hidden = args.hidden or ACON_HIDDEN
-        class_count = len({c for _, c in features})
-        topology = Topology((m, hidden, class_count))
-        model = train_acon(features, topology, config)
+        hidden = ACON_HIDDEN if args.hidden is None else args.hidden
+        model = train_acon(features, hidden, config)
         for err in parallel.persist_acon(model, store).errors:
             _warn(err)
         _write_trace(traces_dir, "acon", model.trace)
@@ -142,18 +139,16 @@ def cmd_train(args) -> int:
               f"(goal {config.goal:g}, {status})")
         return EXIT_OK
 
-    hidden = args.hidden or OCON_HIDDEN
-    jobs = build_ocon_jobs(features, Topology((m, hidden, 1)), config,
-                           args.max_negatives)
-    pool = PoolConfig(workers=args.workers, allocation=args.allocation)
-    outcomes = parallel.run_pool(jobs, pool)
+    hidden = OCON_HIDDEN if args.hidden is None else args.hidden
+    jobs = build_ocon_jobs(features, hidden, config, args.max_negatives)
+    outcomes = parallel.run_pool(jobs, PoolConfig(workers=args.workers))
 
     failed = 0
     for outcome in outcomes:
         if outcome.model is None:
             failed += 1
             print(f"class {outcome.class_id}: training failed: "
-                  f"{outcome.error}", file=sys.stderr)
+                  f"{outcome.exception}", file=sys.stderr)
             continue
         persisted = parallel.persist(outcome.model, store)
         for err in persisted.errors:
@@ -242,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     data_store_flags(train)
     train.add_argument("--mode", choices=("ocon", "acon"), default="ocon")
     train.add_argument("--workers", type=int, default=1)
-    train.add_argument("--allocation", choices=parallel.ALLOCATION_POLICIES,
-                       default="round_robin")
     train.add_argument("--hidden", type=int, default=None,
                        help=f"hidden units (default {OCON_HIDDEN} ocon, "
                             f"{ACON_HIDDEN} acon)")

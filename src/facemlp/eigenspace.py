@@ -27,6 +27,7 @@ from .errors import (
     FileError,
     FormatError,
     InsufficientData,
+    InvalidConfig,
     NotSymmetric,
 )
 from .store import WeightStore, verify, write_replicated
@@ -57,19 +58,16 @@ class Eigenspace:
         return self.basis.shape[1]
 
 
-def eig_symmetric(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def eig_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a real symmetric matrix with LAPACK (numpy.linalg.eigh).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues descending and
     eigenvectors as orthonormal columns, so that a == V diag(w) V^T within
-    rounding. Tied eigenvalues keep LAPACK's relative order. tol must be
-    positive; it is validated only, and kept for API compatibility.
+    rounding. Tied eigenvalues keep LAPACK's relative order.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric("input must be a square matrix")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if a.shape[0] and np.max(np.abs(a - a.T)) > 1e-12:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
 
@@ -86,8 +84,7 @@ def fingerprint(train_vectors, m: int) -> str:
 
 
 def compute_eigenspace(train_vectors: list[np.ndarray] | np.ndarray,
-                       m: int = DEFAULT_COMPONENTS,
-                       tol: float = 1e-10) -> Eigenspace:
+                       m: int = DEFAULT_COMPONENTS) -> Eigenspace:
     """Build the eigenspace of a training set.
 
     Centers the vectors, eigendecomposes the n x n Gram matrix, and lifts
@@ -104,7 +101,7 @@ def compute_eigenspace(train_vectors: list[np.ndarray] | np.ndarray,
         if v.ndim != 1 or v.shape[0] != d:
             raise DimensionMismatch("training vectors differ in length")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidConfig("m must be >= 1")
 
     n = len(vectors)
     data = np.vstack(vectors)           # (n, d)
@@ -112,7 +109,7 @@ def compute_eigenspace(train_vectors: list[np.ndarray] | np.ndarray,
     centered = data - mean              # rows are centered vectors
 
     gram = centered @ centered.T        # (n, n)
-    gram_values, gram_vectors = eig_symmetric(gram, tol)
+    gram_values, gram_vectors = eig_symmetric(gram)
     cov_values = np.maximum(gram_values / n, 0.0)
 
     keep = min(m, n - 1, int(np.sum(cov_values > NEGLIGIBLE_EIGENVALUE)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import AconModel, ClassModel, OconEnsemble, classify_acon, verify
-from .errors import ProtocolError, UnknownClass
+from .errors import InvalidConfig, ProtocolError, UnknownClass
 from .mlp import TrainingTrace, forward
 
 DEFAULT_N_POS = 10
@@ -29,6 +29,12 @@ class Protocol:
     n_neg: int = DEFAULT_N_NEG
     threshold: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n_pos < 1:
+            raise InvalidConfig("n_pos must be >= 1")
+        if self.n_neg < 0:
+            raise InvalidConfig("n_neg must be >= 0")
 
 
 @dataclass

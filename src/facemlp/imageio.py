@@ -254,8 +254,7 @@ def load_manifest(path: str | Path) -> tuple[Manifest, list[Sample]]:
     return Manifest(base, records), samples
 
 
-def write_dataset(samples: list[Sample], out_dir: str | Path,
-                  manifest_name: str = "manifest.tsv") -> Path:
+def write_dataset(samples: list[Sample], out_dir: str | Path) -> Path:
     """Write samples as P5 files plus a manifest; returns the manifest path."""
     out_dir = Path(out_dir)
     try:
@@ -274,7 +273,7 @@ def write_dataset(samples: list[Sample], out_dir: str | Path,
         except OSError as exc:
             raise FileError(f"cannot write {out_dir / name}: {exc}") from exc
         lines.append(f"{name}\t{sample.class_id}\t{sample.role}")
-    manifest_path = out_dir / manifest_name
+    manifest_path = out_dir / "manifest.tsv"
     manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest_path
 

@@ -40,7 +40,6 @@ from .store import (
     write_replicated,
 )
 
-ALLOCATION_POLICIES = ("round_robin", "largest_first")
 ACON_FILENAME = "acon.wts"
 
 
@@ -55,28 +54,19 @@ class TrainingJob:
         if not self.task:
             raise InvalidConfig(f"job for class {self.class_id} has no samples")
 
-    @property
-    def size(self) -> int:
-        return len(self.task)
-
 
 @dataclass(frozen=True)
 class PoolConfig:
     workers: int = 1
-    allocation: str = "round_robin"
 
     def __post_init__(self):
         if self.workers < 1:
             raise InvalidConfig("workers must be >= 1")
-        if self.allocation not in ALLOCATION_POLICIES:
-            raise InvalidConfig(
-                f"allocation must be one of {ALLOCATION_POLICIES}"
-            )
 
 
 @dataclass(eq=False)
 class JobOutcome:
-    """Result slot for one job; exactly one of model/error is set.
+    """Result slot for one job; exactly one of model/exception is set.
 
     queue_wait and compute_seconds are the job's shares, in proportion to
     the epochs it ran, of its lockstep group's wait (from the group being
@@ -87,32 +77,22 @@ class JobOutcome:
 
     class_id: int
     model: ClassModel | None = None
-    error: str | None = None
     exception: BaseException | None = None
     queue_wait: float = 0.0
     compute_seconds: float = 0.0
 
 
 def allocate(jobs: list[TrainingJob], pool: PoolConfig) -> list[list[TrainingJob]]:
-    """Split jobs across workers.
+    """Split jobs across workers round robin: job i goes to worker i mod W.
 
-    round_robin sends job i to worker i mod W. largest_first sorts by
-    descending task size (ties by class_id) and hands each job to the
-    currently lightest-loaded worker, lowest index winning ties. Both are
-    deterministic.
+    OCON tasks all hold the same n relabelled samples unless negatives are
+    capped, so balancing by task size would build the same buckets.
     """
     if not jobs:
         raise InvalidConfig("no jobs to allocate")
     buckets: list[list[TrainingJob]] = [[] for _ in range(pool.workers)]
-    if pool.allocation == "round_robin":
-        for i, job in enumerate(jobs):
-            buckets[i % pool.workers].append(job)
-        return buckets
-    loads = [0] * pool.workers
-    for job in sorted(jobs, key=lambda j: (-j.size, j.class_id)):
-        target = loads.index(min(loads))
-        buckets[target].append(job)
-        loads[target] += job.size
+    for i, job in enumerate(jobs):
+        buckets[i % pool.workers].append(job)
     return buckets
 
 
@@ -132,7 +112,7 @@ def _run_job_list(jobs: list[TrainingJob], submitted_at: float):
     """
     groups: dict[tuple[Topology, int], list[TrainingJob]] = {}
     for job in jobs:
-        groups.setdefault((job.topology, job.size), []).append(job)
+        groups.setdefault((job.topology, len(job.task)), []).append(job)
 
     results = []
     ready_at = submitted_at
@@ -197,16 +177,9 @@ def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
     by_id = {job.class_id: job for job in jobs}
     outcomes = []
     for class_id, weights, trace, err, waited, compute in raw:
-        if err is None:
-            model = ClassModel(class_id, by_id[class_id].topology,
-                               weights, trace)
-            outcomes.append(JobOutcome(class_id, model=model,
-                                       queue_wait=waited,
-                                       compute_seconds=compute))
-        else:
-            outcomes.append(JobOutcome(class_id, error=str(err),
-                                       exception=err, queue_wait=waited,
-                                       compute_seconds=compute))
+        model = None if err is not None else ClassModel(
+            class_id, by_id[class_id].topology, weights, trace)
+        outcomes.append(JobOutcome(class_id, model, err, waited, compute))
     outcomes.sort(key=lambda o: o.class_id)
     return outcomes
 

@@ -101,7 +101,7 @@ def experiment():
     outcomes = run_pool(jobs, PoolConfig(workers=1))
     assert all(o.model is not None for o in outcomes)
     ensemble = OconEnsemble([o.model for o in outcomes], 40)
-    acon = train_acon(ftrain, Topology((40, 60, 10)), config)
+    acon = train_acon(ftrain, 60, config)
     return {
         "ftrain": ftrain,
         "ftest": ftest,

@@ -107,7 +107,7 @@ def test_train_ocon_separates_two_classes():
     samples = separable_two_class()
     cfg = TrainingConfig(learning_rate=0.5, momentum=0.9, goal=1e-3,
                          max_epochs=20000, seed=0)
-    ensemble = train_ocon(samples, Topology((4, 6, 1)), cfg)
+    ensemble = train_ocon(samples, 6, cfg)
     assert ensemble.class_ids == [1, 2]
     assert all(m.trace.goal_met for m in ensemble.models)
     for f, cid in samples:
@@ -120,7 +120,7 @@ def test_train_ocon_traces_are_distinct():
     samples = separable_two_class()
     cfg = TrainingConfig(learning_rate=0.5, momentum=0.9, goal=1e-3,
                          max_epochs=20000, seed=0)
-    ensemble = train_ocon(samples, Topology((4, 6, 1)), cfg)
+    ensemble = train_ocon(samples, 6, cfg)
     histories = [tuple(m.trace.mse_history) for m in ensemble.models]
     assert histories[0] != histories[1]
 
@@ -129,8 +129,8 @@ def test_train_ocon_is_deterministic():
     samples = separable_two_class()
     cfg = TrainingConfig(learning_rate=0.5, momentum=0.9, goal=1e-2,
                          max_epochs=5000, seed=3)
-    a = train_ocon(samples, None, cfg)
-    b = train_ocon(samples, None, cfg)
+    a = train_ocon(samples, config=cfg)
+    b = train_ocon(samples, config=cfg)
     for ma, mb in zip(a.models, b.models):
         for x, y in zip(ma.weights.weights, mb.weights.weights):
             assert np.array_equal(x, y)
@@ -138,13 +138,13 @@ def test_train_ocon_is_deterministic():
 
 def test_train_ocon_needs_two_classes():
     with pytest.raises(InsufficientClasses):
-        train_ocon(labeled([([0.0, 0.0], 1)]), None, TrainingConfig())
+        train_ocon(labeled([([0.0, 0.0], 1)]), config=TrainingConfig())
 
 
 def test_train_ocon_max_negatives_caps_tasks():
     samples = labeled([([float(i), 0.0], 1 + i % 3) for i in range(30)])
     cfg = TrainingConfig(goal=0.5, max_epochs=1, seed=0)
-    ensemble = train_ocon(samples, Topology((2, 3, 1)), cfg, max_negatives=5)
+    ensemble = train_ocon(samples, 3, cfg, max_negatives=5)
     assert ensemble.class_ids == [1, 2, 3]
 
 
@@ -152,7 +152,7 @@ def test_train_acon_learns_separable_data():
     samples = separable_two_class()
     cfg = TrainingConfig(learning_rate=0.5, momentum=0.9, goal=1e-3,
                          max_epochs=20000, seed=0)
-    model = train_acon(samples, None, cfg)
+    model = train_acon(samples, config=cfg)
     assert model.class_ids == (1, 2)
     assert model.topology.layer_sizes == (4, 60, 2)
     for f, cid in samples:

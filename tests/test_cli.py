@@ -149,8 +149,7 @@ def test_store_env_fallback(tmp_path, monkeypatch):
 def test_train_with_worker_pool(tmp_path):
     data = synth(tmp_path)
     store = store_arg(tmp_path, ("pool",))
-    assert run_train(tmp_path, data, store, "--workers", "2",
-                     "--allocation", "largest_first") == 0
+    assert run_train(tmp_path, data, store, "--workers", "2") == 0
     assert (tmp_path / "pool" / "class_2.wts").exists()
 
 
@@ -180,6 +179,31 @@ def test_invalid_learning_rate_is_config_error(tmp_path):
     code = main(["train", "--data", str(data), "--store",
                  store_arg(tmp_path), *SPEED, "--lr", "-1"])
     assert code == 2
+
+
+BAD_TRAIN_FLAGS = [("--hidden", "0"), ("--downsample", "0"),
+                   ("--max-negatives", "0"), ("--max-negatives", "-1"),
+                   ("--components", "0")]
+BAD_EVALUATE_FLAGS = [("--n-pos", "-1"), ("--n-neg", "-1"), ("--n-pos", "0")]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [("train", *f) for f in BAD_TRAIN_FLAGS]
+    + [("evaluate", *f) for f in BAD_EVALUATE_FLAGS])
+def test_out_of_range_flag_is_config_error(trained, tmp_path, capsys,
+                                           command, flag, value):
+    data, roots, _ = trained
+    store = (store_arg(tmp_path) if command == "train"
+             else ":".join(str(r) for r in roots))
+    speed = SPEED if command == "train" else []
+    # argparse keeps the last value, so the bad flag overrides SPEED's.
+    code = main([command, "--data", str(data), "--store", store, *speed,
+                 flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.wts"))
 
 
 def test_downsample_mismatch_is_config_error(tmp_path, capsys):

@@ -68,11 +68,6 @@ def test_eig_rejects_asymmetric():
         eig_symmetric(np.zeros((2, 3)))
 
 
-def test_eig_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        eig_symmetric(np.eye(2), tol=0.0)
-
-
 def training_vectors(n, d, seed):
     rng = np.random.default_rng(seed)
     return [rng.uniform(0, 1, d) for _ in range(n)]
