@@ -75,7 +75,7 @@ def _skipped(path: Path, exc: Exception) -> None:
 
 def _obtain_eigenspace(store: WeightStore, train_vectors, m: int):
     """Reuse the stored projection if it was built from the same inputs,
-    or build and replicate it when the store holds none.
+    or build one when the store holds none; returns (space, built).
 
     A stored space of other inputs is a configuration error rather than
     something to rebuild: the store's weight files were trained on it.
@@ -83,11 +83,7 @@ def _obtain_eigenspace(store: WeightStore, train_vectors, m: int):
     space = read_replicated(store, EIGENSPACE_FILENAME, load_eigenspace,
                             _skipped)
     if space is None:
-        space = compute_eigenspace(train_vectors, m)
-        for err in write_replicated(store, EIGENSPACE_FILENAME,
-                                    encode_eigenspace(space)).errors:
-            _warn(err)
-        return space
+        return compute_eigenspace(train_vectors, m), True
     wanted = fingerprint(train_vectors, m)
     if space.fingerprint != wanted:
         raise InvalidConfig(
@@ -96,7 +92,7 @@ def _obtain_eigenspace(store: WeightStore, train_vectors, m: int):
             f"--data, --downsample and --components it was built with, "
             f"or use a fresh --store"
         )
-    return space
+    return space, False
 
 
 def _write_trace(traces_dir: Path, name: str, trace) -> None:
@@ -115,21 +111,30 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     store = _resolve_store(args.store)
-    train_pairs, _ = _load_vectors(args.data, args.downsample)
-    if not train_pairs:
-        raise InvalidConfig("manifest contains no training samples")
-    space = _obtain_eigenspace(store, [v for v, _ in train_pairs],
-                               args.components)
-    features = [(project(space, v), c) for v, c in train_pairs]
     config = TrainingConfig(learning_rate=args.lr, momentum=args.momentum,
                             goal=args.goal, max_epochs=args.max_epochs,
                             seed=args.seed)
+    pool = PoolConfig(workers=args.workers)
+    train_pairs, _ = _load_vectors(args.data, args.downsample)
+    if not train_pairs:
+        raise InvalidConfig("manifest contains no training samples")
+    space, built = _obtain_eigenspace(store, [v for v, _ in train_pairs],
+                                      args.components)
+    features = [(project(space, v), c) for v, c in train_pairs]
     traces_dir = Path(args.traces_dir) if args.traces_dir \
         else Path(store.roots[0]) / "traces"
+
+    def store_built_space():
+        # After training, before any weight file: failed runs write nothing.
+        if built:
+            for err in write_replicated(store, EIGENSPACE_FILENAME,
+                                        encode_eigenspace(space)).errors:
+                _warn(err)
 
     if args.mode == "acon":
         hidden = ACON_HIDDEN if args.hidden is None else args.hidden
         model = train_acon(features, hidden, config)
+        store_built_space()
         for err in parallel.persist_acon(model, store).errors:
             _warn(err)
         _write_trace(traces_dir, "acon", model.trace)
@@ -141,7 +146,8 @@ def cmd_train(args) -> int:
 
     hidden = OCON_HIDDEN if args.hidden is None else args.hidden
     jobs = build_ocon_jobs(features, hidden, config, args.max_negatives)
-    outcomes = parallel.run_pool(jobs, PoolConfig(workers=args.workers))
+    outcomes = parallel.run_pool(jobs, pool)
+    store_built_space()
 
     failed = 0
     for outcome in outcomes:
@@ -163,7 +169,7 @@ def cmd_train(args) -> int:
     total_compute = sum(o.compute_seconds for o in outcomes)
     if total_compute > 0 and total_wait / total_compute > OVERHEAD_WARN_RATIO:
         _warn(f"queue wait is {total_wait / total_compute:.0%} of compute "
-              f"time; consider fewer, larger jobs")
+              f"time; consider fewer --workers")
     return EXIT_PARTIAL if failed else EXIT_OK
 
 

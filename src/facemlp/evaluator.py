@@ -35,6 +35,8 @@ class Protocol:
             raise InvalidConfig("n_pos must be >= 1")
         if self.n_neg < 0:
             raise InvalidConfig("n_neg must be >= 0")
+        if not 0 <= self.threshold <= 1:
+            raise InvalidConfig("threshold must lie in [0, 1]")
 
 
 @dataclass
@@ -59,22 +61,23 @@ class EvaluationReport:
     traces: list[tuple[str, TrainingTrace]] = field(default_factory=list)
 
 
+def _tally(class_id: int, accepts, positives, negatives) -> ClassResult:
+    """Correct decisions: positives accepted plus negatives rejected."""
+    n_pos, n_neg = len(positives), len(negatives)
+    labelled = [(f, True) for f in positives] + [(f, False) for f in negatives]
+    correct = sum(1 for f, positive in labelled if accepts(f) == positive)
+    total = n_pos + n_neg
+    return ClassResult(class_id, total, n_pos, n_neg, correct,
+                       100.0 * correct / total)
+
+
 def evaluate_class_ocon(model: ClassModel, positives, negatives,
                         threshold: float = 0.5) -> ClassResult:
     """Score one subnet: accept positives, reject negatives."""
-    correct = 0
-    for f in positives:
+    def accepts(f) -> bool:
         out, _ = forward(model.weights, np.asarray(f, dtype=np.float64))
-        if verify(float(out[0]), threshold):
-            correct += 1
-    for f in negatives:
-        out, _ = forward(model.weights, np.asarray(f, dtype=np.float64))
-        if not verify(float(out[0]), threshold):
-            correct += 1
-    n_pos, n_neg = len(positives), len(negatives)
-    total = n_pos + n_neg
-    return ClassResult(model.class_id, total, n_pos, n_neg, correct,
-                       100.0 * correct / total)
+        return verify(float(out[0]), threshold)
+    return _tally(model.class_id, accepts, positives, negatives)
 
 
 def evaluate_class_acon(model: AconModel, class_id: int, positives,
@@ -83,19 +86,8 @@ def evaluate_class_acon(model: AconModel, class_id: int, positives,
     a negative iff predicted as anything else."""
     if class_id not in model.class_ids:
         raise UnknownClass(f"class {class_id} not in {model.class_ids}")
-    correct = 0
-    for f in positives:
-        predicted, _ = classify_acon(model, f)
-        if predicted == class_id:
-            correct += 1
-    for f in negatives:
-        predicted, _ = classify_acon(model, f)
-        if predicted != class_id:
-            correct += 1
-    n_pos, n_neg = len(positives), len(negatives)
-    total = n_pos + n_neg
-    return ClassResult(class_id, total, n_pos, n_neg, correct,
-                       100.0 * correct / total)
+    return _tally(class_id, lambda f: classify_acon(model, f)[0] == class_id,
+                  positives, negatives)
 
 
 def _split_exemplars(class_id: int, test_samples, protocol: Protocol):
@@ -122,38 +114,36 @@ def evaluate_all(models, test_samples,
     models may be an OconEnsemble, an AconModel, or a mapping of
     class_id to ClassModel (None marking a class whose weights could not
     be loaded; such classes appear in the report with an error note and
-    are left out of the average).
+    are left out of the average). Each becomes (class_id, model) rows,
+    OCON's by class id and ACON's in class_ids order, for one loop.
     """
     if isinstance(models, AconModel):
-        registered = list(models.class_ids)
-        rows = []
-        traces = [("acon", models.trace)] if models.trace else []
-        for cid in registered:
-            pos, neg = _split_exemplars(cid, test_samples, protocol)
-            rows.append(evaluate_class_acon(models, cid, pos, neg))
         mode = "ACON"
+        table = [(cid, models) for cid in models.class_ids]
+        traces = [("acon", models.trace)] if models.trace else []
     else:
         if isinstance(models, OconEnsemble):
-            table: Mapping = {m.class_id: m for m in models.models}
+            by_id: Mapping = {m.class_id: m for m in models.models}
         elif isinstance(models, Mapping):
-            table = models
+            by_id = models
         else:
             raise TypeError(f"cannot evaluate {type(models).__name__}")
-        registered = sorted(table)
-        rows = []
-        traces = []
-        for cid in registered:
-            pos, neg = _split_exemplars(cid, test_samples, protocol)
-            model = table[cid]
-            if model is None:
-                rows.append(ClassResult(cid, 0, 0, 0, 0, 0.0,
-                                        error="weights unavailable"))
-                continue
+        mode = "OCON"
+        table = [(cid, by_id[cid]) for cid in sorted(by_id)]
+        traces = [(f"class {cid}", m.trace) for cid, m in table
+                  if m is not None and m.trace is not None]
+
+    rows = []
+    for cid, model in table:
+        pos, neg = _split_exemplars(cid, test_samples, protocol)
+        if model is None:
+            rows.append(ClassResult(cid, 0, 0, 0, 0, 0.0,
+                                    error="weights unavailable"))
+        elif mode == "ACON":
+            rows.append(evaluate_class_acon(model, cid, pos, neg))
+        else:
             rows.append(evaluate_class_ocon(model, pos, neg,
                                             protocol.threshold))
-            if model.trace is not None:
-                traces.append((f"class {cid}", model.trace))
-        mode = "OCON"
 
     scored = [r.rate for r in rows if r.error is None]
     average = float(np.mean(scored)) if scored else 0.0

@@ -83,12 +83,12 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidConfig("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise InvalidConfig("learning_rate must be positive and finite")
         if not 0 <= self.momentum < 1:
             raise InvalidConfig("momentum must lie in [0, 1)")
-        if self.goal <= 0:
-            raise InvalidConfig("goal must be positive")
+        if not 0 < self.goal < math.inf:
+            raise InvalidConfig("goal must be positive and finite")
         if self.max_epochs < 1:
             raise InvalidConfig("max_epochs must be >= 1")
 

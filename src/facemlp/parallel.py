@@ -97,24 +97,22 @@ def allocate(jobs: list[TrainingJob], pool: PoolConfig) -> list[list[TrainingJob
 
 
 def _run_job_list(jobs: list[TrainingJob], submitted_at: float):
-    """Run a bucket's jobs; never raises, so one failure cannot sink a batch.
+    """Run a bucket's jobs into one JobOutcome each, in group order.
 
-    Jobs that share a topology and a sample count form a group, in order
-    of first appearance, and each group trains in lockstep through
-    train_group. A group waits from the later of the bucket's submission
-    and the end of the previous group to its own start. Each job gets a
-    share of its group's wait and of its elapsed time, in proportion to
-    the epochs it ran, so a bucket's waits and compute times sum to its
-    real wait and real compute time.
-
-    Returns plain tuples because the results may cross a process
-    boundary.
+    Never raises, so one failure cannot sink a batch: a job's exception
+    is kept in its outcome. Jobs that share a topology and a sample count
+    form a group, in order of first appearance, and each group trains in
+    lockstep through train_group. A group waits from the later of the
+    bucket's submission and the end of the previous group to its own
+    start. Each job gets a share of its group's wait and of its elapsed
+    time, in proportion to the epochs it ran, so a bucket's waits and
+    compute times sum to its real wait and real compute time.
     """
     groups: dict[tuple[Topology, int], list[TrainingJob]] = {}
     for job in jobs:
         groups.setdefault((job.topology, len(job.task)), []).append(job)
 
-    results = []
+    outcomes = []
     ready_at = submitted_at
     for (topology, _), group in groups.items():
         waited = time.monotonic() - ready_at
@@ -130,13 +128,13 @@ def _run_job_list(jobs: list[TrainingJob], submitted_at: float):
         for job, result, spent in zip(group, trained, epochs):
             share = spent / total if total else 1.0 / len(group)
             if isinstance(result, Exception):
-                weights, trace, err = None, None, result
+                model, err = None, result
             else:
-                (weights, trace), err = result, None
-            results.append((job.class_id, weights, trace, err,
-                            waited * share, elapsed * share))
+                model, err = ClassModel(job.class_id, topology, *result), None
+            outcomes.append(JobOutcome(job.class_id, model, err,
+                                       waited * share, elapsed * share))
         ready_at = time.monotonic()
-    return results
+    return outcomes
 
 
 def _epochs_spent(result) -> int:
@@ -149,7 +147,7 @@ def _epochs_spent(result) -> int:
 
 
 def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
-    """Execute all jobs and gather per-job outcomes sorted by class_id.
+    """Execute all jobs and gather the workers' outcomes by class_id.
 
     Worker count never changes the trained weights, only the wall time:
     jobs share no state, each is deterministic, and a job's arithmetic is
@@ -162,24 +160,17 @@ def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
         raise InvalidConfig(f"duplicate class ids in job list: {ids}")
 
     if pool.workers == 1:
-        raw = _run_job_list(jobs, time.monotonic())
+        outcomes = _run_job_list(jobs, time.monotonic())
     else:
         buckets = [b for b in allocate(jobs, pool) if b]
         ctx = multiprocessing.get_context("fork")
-        raw = []
+        outcomes = []
         with ProcessPoolExecutor(max_workers=len(buckets),
                                  mp_context=ctx) as executor:
             futures = [executor.submit(_run_job_list, bucket, time.monotonic())
                        for bucket in buckets]
             for fut in futures:
-                raw.extend(fut.result())
-
-    by_id = {job.class_id: job for job in jobs}
-    outcomes = []
-    for class_id, weights, trace, err, waited, compute in raw:
-        model = None if err is not None else ClassModel(
-            class_id, by_id[class_id].topology, weights, trace)
-        outcomes.append(JobOutcome(class_id, model, err, waited, compute))
+                outcomes.extend(fut.result())
     outcomes.sort(key=lambda o: o.class_id)
     return outcomes
 

@@ -183,8 +183,13 @@ def test_invalid_learning_rate_is_config_error(tmp_path):
 
 BAD_TRAIN_FLAGS = [("--hidden", "0"), ("--downsample", "0"),
                    ("--max-negatives", "0"), ("--max-negatives", "-1"),
-                   ("--components", "0")]
-BAD_EVALUATE_FLAGS = [("--n-pos", "-1"), ("--n-neg", "-1"), ("--n-pos", "0")]
+                   ("--components", "0"), ("--workers", "0"),
+                   ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
+                   ("--momentum", "1"), ("--goal", "nan"),
+                   ("--goal", "inf")]
+BAD_EVALUATE_FLAGS = [("--n-pos", "-1"), ("--n-neg", "-1"), ("--n-pos", "0"),
+                      ("--threshold", "nan"), ("--threshold", "1.5"),
+                      ("--threshold", "-1")]
 
 
 @pytest.mark.parametrize(
@@ -204,6 +209,29 @@ def test_out_of_range_flag_is_config_error(trained, tmp_path, capsys,
     assert code == 2
     assert "error:" in err and "Traceback" not in err
     assert not list(tmp_path.rglob("*.wts"))
+    assert not list(tmp_path.rglob("eigenspace.txt"))
+
+
+def test_rejected_train_does_not_pin_the_store(tmp_path, capsys):
+    # A run rejected before training must leave the store free for a
+    # corrected run with other --components.
+    data = synth(tmp_path)
+    store = store_arg(tmp_path)
+    assert run_train(tmp_path, data, store, "--hidden", "0") == 2
+    capsys.readouterr()
+    assert run_train(tmp_path, data, store, "--components", "4") == 0
+    assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["ocon", "acon"])
+def test_one_class_train_is_fatal_and_leaves_store_empty(tmp_path, mode):
+    data = synth(tmp_path)
+    manifest = data / "manifest.tsv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines if "\t1\t" in line))
+    store = store_arg(tmp_path)
+    assert run_train(tmp_path, data, store, "--mode", mode) == 1
+    assert not list(tmp_path.glob("r?/*"))
 
 
 def test_downsample_mismatch_is_config_error(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from facemlp.classifiers import AconModel, ClassModel, OconEnsemble
-from facemlp.errors import ProtocolError, UnknownClass
+from facemlp.errors import InvalidConfig, ProtocolError, UnknownClass
 from facemlp.evaluator import (
     ClassResult,
     Protocol,
@@ -119,6 +119,14 @@ def test_acon_fourteen_of_twenty():
 def test_acon_unknown_class():
     with pytest.raises(UnknownClass):
         evaluate_class_acon(acon_identity(2), 5, [np.zeros(2)], [np.zeros(2)])
+
+
+def test_protocol_threshold_must_lie_in_unit_interval():
+    for bad in (float("nan"), -0.1, 1.5):
+        with pytest.raises(InvalidConfig):
+            Protocol(threshold=bad)
+    assert Protocol(threshold=0).threshold == 0
+    assert Protocol(threshold=1).threshold == 1
 
 
 def test_evaluate_all_requires_positives():

@@ -49,6 +49,11 @@ def test_config_validation():
         TrainingConfig(goal=0.0)
     with pytest.raises(InvalidConfig):
         TrainingConfig(max_epochs=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidConfig):
+            TrainingConfig(learning_rate=bad)
+        with pytest.raises(InvalidConfig):
+            TrainingConfig(goal=bad)
 
 
 def test_init_weights_shapes_and_bounds():

@@ -1,3 +1,4 @@
+import pickle
 import time
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facemlp import parallel
+from facemlp import errors, parallel
 from facemlp.classifiers import AconModel, ClassModel, train_ocon
 from facemlp.cli import OVERHEAD_WARN_RATIO
 from facemlp.errors import (
@@ -109,7 +110,7 @@ def test_queue_wait_of_a_group_is_shared_not_repeated():
     earliest = time.monotonic() - submitted
     results = parallel._run_job_list(make_jobs(6), submitted)
     latest = time.monotonic() - submitted
-    total_wait = sum(waited for *_, waited, _ in results)
+    total_wait = sum(o.queue_wait for o in results)
     assert earliest - 1e-9 <= total_wait <= latest
 
 
@@ -144,6 +145,56 @@ def test_run_pool_failure_capture_crosses_processes():
     assert isinstance(outcomes[0].exception, Diverged)
     assert outcomes[0].exception.epoch == 1
     assert outcomes[1].model is not None
+
+
+# One instance of every error class: a job's exception crosses the process
+# boundary in its JobOutcome, so each must pickle with its fields intact.
+ERROR_CASES = [
+    errors.FacemlpError("base"),
+    errors.UnsupportedFormat("not a PGM"),
+    errors.TruncatedImage("payload ended"),
+    errors.UnsupportedDepth("maxval 65535"),
+    errors.FileError("missing file"),
+    errors.ManifestSyntax("bad role", 7),
+    errors.InvalidConfig("workers must be >= 1"),
+    errors.NotSymmetric("not symmetric"),
+    errors.DimensionMismatch("3 != 4"),
+    errors.InsufficientData("too few vectors"),
+    errors.FormatError("truncated"),
+    errors.Diverged(12),
+    errors.EmptyClass("no samples"),
+    errors.NoCounterexamples("no negatives"),
+    errors.InsufficientClasses("need >= 2 classes"),
+    errors.StoreError("no root"),
+    errors.ChecksumMismatch("crc"),
+    errors.WeightsUnavailable(5),
+    errors.UnknownClass("class 9"),
+    errors.ProtocolError(3, "no negative exemplars available"),
+]
+
+
+def error_classes(cls=errors.FacemlpError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_classes(sub)
+
+
+def test_outcomes_and_errors_survive_pickle():
+    assert {type(e) for e in ERROR_CASES} == set(error_classes())
+    for exc in ERROR_CASES:
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is type(exc)
+        assert str(copy) == str(exc) and copy.args == exc.args
+        assert vars(copy) == vars(exc)
+
+    [outcome] = run_pool(make_jobs(1), PoolConfig(workers=1))
+    copy = pickle.loads(pickle.dumps(outcome))
+    assert (copy.class_id, copy.exception) == (1, None)
+    assert (copy.queue_wait, copy.compute_seconds) == (
+        outcome.queue_wait, outcome.compute_seconds)
+    assert copy.model.topology == outcome.model.topology
+    assert same_models(copy.model, outcome.model)
+    assert vars(copy.model.trace) == vars(outcome.model.trace)
 
 
 def same_models(a, b) -> bool:
