@@ -115,6 +115,8 @@ def cmd_train(args) -> int:
                             goal=args.goal, max_epochs=args.max_epochs,
                             seed=args.seed)
     pool = PoolConfig(workers=args.workers)
+    if args.mode == "acon" and args.max_negatives is not None:
+        raise InvalidConfig("--max-negatives applies to --mode ocon only")
     train_pairs, _ = _load_vectors(args.data, args.downsample)
     if not train_pairs:
         raise InvalidConfig("manifest contains no training samples")

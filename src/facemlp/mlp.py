@@ -5,14 +5,15 @@ squared error over every output component of every sample. Updates use the
 full batch plus a momentum term, so a run is fully determined by the
 topology, the batch, and the config (including its seed).
 
-Training has one epoch loop, train_group, which trains several nets of
-one topology and sample count in lockstep: their parameters are stacked
-along a leading net axis, so each epoch costs one round of NumPy calls
-for the whole stack instead of one per net. Every slice of the stack
-runs the same IEEE operations in the same order as a net trained alone,
-so a net's weights and MSE history never depend on its group. train is
-the group of one. The single-vector forward used for classification is
-separate and unstacked.
+Training has one epoch kernel, _Stack, which trains several nets of one
+topology and sample count in lockstep: each net's parameters are one row
+of a flat buffer, and the work arrays are allocated once per stack size,
+so an epoch costs one round of in-place NumPy calls for the whole stack
+instead of one per net. Every slice of the stack runs the same IEEE
+operations in the same order as a net trained alone, so a net's weights
+and MSE history never depend on its group. train_group drives it, train
+is the group of one, and gradients is one backprop of a stack of one.
+The single-vector forward used for classification is separate.
 
 ClassModel and AconModel, trained nets labelled with their classes, sit
 beside Weights so that the pool, the store codec and the classifiers all
@@ -213,55 +214,109 @@ def _stack_batch(batch, in_size: int, out_size: int) -> tuple[np.ndarray, np.nda
     return np.vstack(xs), np.vstack(ts)
 
 
-def _sigmoid_(z: np.ndarray) -> np.ndarray:
-    """_sigmoid computed in z's own storage, with the same operations."""
-    np.negative(z, out=z)
-    with np.errstate(over="ignore"):
-        np.exp(z, out=z)
-    z += 1.0
-    return np.divide(1.0, z, out=z)
+def _flat(weights: Weights) -> np.ndarray:
+    """A net's parameters as one row: each layer's weights, then its bias."""
+    return np.concatenate([np.concatenate((w.ravel(), b))
+                           for w, b in zip(weights.weights, weights.biases)])
 
 
-def _forward_stack(ws: list[np.ndarray], bs: list[np.ndarray],
-                   x: np.ndarray) -> list[np.ndarray]:
-    """Activations of k stacked nets on their own batches.
+def _layers(flat: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (k, fan_out, fan_in) and (k, 1, fan_out) views of k rows."""
+    k, views, start = len(flat), [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        end = start + fan_out * fan_in
+        views.append((flat[:, start:end].reshape(k, fan_out, fan_in),
+                      flat[:, None, end:end + fan_out]))
+        start = end + fan_out
+    return views
 
-    ws[l] is (k, fan_out, fan_in), bs[l] is (k, 1, fan_out) and x is
-    (k, n, fan_in). Returns [x, hidden..., output], each (k, n, width).
+
+def _unflat(layers, slot: int) -> Weights:
+    """A copy of one net of _layers' views."""
+    return Weights([w[slot].copy() for w, _ in layers],
+                   [b[slot, 0].copy() for _, b in layers])
+
+
+class _Stack:
+    """k nets of one topology in lockstep, each on its own n samples.
+
+    params holds one net per row in _flat's layout, as do the momentum
+    steps and the gradients; the layer matrices are views into them. x is
+    (k, n, fan_in), a broadcast view when the nets share their inputs, and
+    t is (k, n, out). Work arrays are allocated once per stack size. Slice
+    j of every operation is the IEEE arithmetic of net j computed alone.
+    Run under np.errstate(over="ignore"): exp overflows on a saturated
+    unit, and a diverging net's squared error overflows to inf.
     """
-    acts = [x]
-    for w, b in zip(ws, bs):
-        z = np.matmul(x, w.transpose(0, 2, 1))
-        z += b
-        x = _sigmoid_(z)
-        acts.append(x)
-    return acts
 
+    def __init__(self, sizes, params: np.ndarray, x: np.ndarray, t: np.ndarray):
+        k, n, _ = t.shape
+        self.sizes, self.params, self.t = sizes, params, t
+        self.steps = np.zeros_like(params)
+        self.acts = [x, *(np.empty((k, n, m)) for m in sizes[1:])]
+        self.residual = np.empty_like(t)
+        self._allocate()
 
-def _backprop_stack(ws: list[np.ndarray], acts: list[np.ndarray],
-                    targets: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact MSE gradient of each stacked net from its activations.
+    def _allocate(self) -> None:
+        k, n, _ = self.t.shape
+        self.grads = np.empty_like(self.params)
+        self.layers = _layers(self.params, self.sizes)
+        self.grad_layers = _layers(self.grads, self.sizes)
+        self.deltas, self.scratch, self.neg_bias = (
+            [np.empty((k, rows, m)) for m in self.sizes[1:]]
+            for rows in (n, n, 1))
 
-    Slice j of every product is the same IEEE arithmetic, in the same
-    order, as the gradient of net j computed on its own.
-    """
-    _, n, out = targets.shape
-    out_act = acts[-1]
-    delta = out_act - targets
-    delta *= 2.0 / (n * out)
-    delta *= out_act
-    delta *= 1.0 - out_act
-    grads_w: list[np.ndarray] = [None] * len(ws)
-    grads_b: list[np.ndarray] = [None] * len(ws)
-    for layer in range(len(ws) - 1, -1, -1):
-        grads_w[layer] = np.matmul(delta.transpose(0, 2, 1), acts[layer])
-        grads_b[layer] = delta.sum(axis=1, keepdims=True)
-        if layer:
-            prev = acts[layer]
-            delta = np.matmul(delta, ws[layer])
-            delta *= prev
-            delta *= 1.0 - prev
-    return grads_w, grads_b
+    def keep(self, slots: list[int]) -> None:
+        """Drop every net whose slot is not listed; the rest carry on."""
+        x = self.acts[0]
+        # Shared inputs, a zero net stride, stay one broadcast view.
+        x = (np.broadcast_to(x[0], (len(slots), *x.shape[1:]))
+             if x.strides[0] == 0 else x[slots])
+        self.acts = [x, *(a[slots] for a in self.acts[1:])]
+        self.params, self.steps, self.t, self.residual = (
+            a[slots] for a in (self.params, self.steps, self.t, self.residual))
+        self._allocate()
+
+    def forward(self) -> list[float]:
+        """Every layer's activations and the output residual a - t;
+        returns each net's batch MSE."""
+        for (w, b), neg_b, x, z in zip(self.layers, self.neg_bias,
+                                       self.acts, self.acts[1:]):
+            np.matmul(x, w.transpose(0, 2, 1), out=z)
+            # (-b) - x.W^T is exactly -(x.W^T + b); a zero may change
+            # sign, which exp maps to 1 either way.
+            np.subtract(np.negative(b, out=neg_b), z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.divide(1.0, z, out=z)
+        np.subtract(self.acts[-1], self.t, out=self.residual)
+        squared = np.square(self.residual, out=self.deltas[-1])
+        return (np.add.reduce(squared, axis=(1, 2)) / squared[0].size).tolist()
+
+    def backprop(self) -> None:
+        """Each net's exact MSE gradient, into grads, from the last forward."""
+        _, n, out = self.t.shape
+        out_act, delta = self.acts[-1], self.deltas[-1]
+        np.multiply(self.residual, 2.0 / (n * out), out=delta)
+        delta *= out_act
+        delta *= np.subtract(1.0, out_act, out=self.scratch[-1])
+        for layer in range(len(self.layers) - 1, -1, -1):
+            grad_w, grad_b = self.grad_layers[layer]
+            np.matmul(delta.transpose(0, 2, 1), self.acts[layer], out=grad_w)
+            np.add.reduce(delta, axis=1, keepdims=True, out=grad_b)
+            if layer:
+                prev = self.acts[layer]
+                delta = np.matmul(delta, self.layers[layer][0],
+                                  out=self.deltas[layer - 1])
+                delta *= prev
+                delta *= np.subtract(1.0, prev, out=self.scratch[layer - 1])
+
+    def step(self, rate: np.ndarray, momentum: np.ndarray) -> None:
+        """One momentum update; rate and momentum are (k, 1) columns."""
+        self.steps *= momentum
+        self.grads *= rate
+        self.steps -= self.grads
+        self.params += self.steps
 
 
 def gradients(weights: Weights,
@@ -273,10 +328,11 @@ def gradients(weights: Weights,
     """
     sizes = weights.layer_sizes
     x, t = _stack_batch(batch, sizes[0], sizes[-1])
-    ws = [w[None] for w in weights.weights]
-    bs = [b[None, None] for b in weights.biases]
-    gw, gb = _backprop_stack(ws, _forward_stack(ws, bs, x[None]), t[None])
-    return Weights([g[0] for g in gw], [g[0, 0] for g in gb])
+    stack = _Stack(sizes, _flat(weights)[None], x[None], t[None])
+    with np.errstate(over="ignore"):
+        stack.forward()
+        stack.backprop()
+    return _unflat(stack.grad_layers, 0)
 
 
 def mse(outputs, targets) -> float:
@@ -321,10 +377,11 @@ def train_group(topology: Topology, batches: list, configs: list[TrainingConfig]
     """Train one fresh network per (batch, config) pair, all in lockstep.
 
     The nets share the topology and the sample count; each has its own
-    batch, seed, learning rate, momentum, goal and max_epochs. Their
-    parameters are stacked along a leading net axis, so an epoch is one
-    stacked forward pass, backprop and momentum step for every net still
-    training. A net leaves the stack at the epoch it meets its goal,
+    batch, seed, learning rate, momentum, goal and max_epochs. Each net's
+    parameters are one row of a flat buffer, and nets with equal inputs
+    share one copy of them, so an epoch is one stacked forward pass,
+    backprop and four-call momentum step for every net still training,
+    into arrays allocated once per stack size. A net leaves the stack at the epoch it meets its goal,
     diverges or reaches its max_epochs. Each net's arithmetic is exactly
     what train would do for it alone, so its weights and mse_history do
     not depend on which other nets share the group.
@@ -355,63 +412,46 @@ def train_group(topology: Topology, batches: list, configs: list[TrainingConfig]
         return results
 
     started = time.perf_counter()
-    x, t = np.stack(xs), np.stack(ts)
-    inits = [init_weights(topology, configs[i].seed) for i in members]
-    ws = [np.stack(layer) for layer in zip(*(w.weights for w in inits))]
-    bs = [np.stack(layer)[:, None, :] for layer in zip(*(w.biases for w in inits))]
-    step_w = [np.zeros_like(w) for w in ws]
-    step_b = [np.zeros_like(b) for b in bs]
-    rate = np.array([configs[i].learning_rate for i in members])[:, None, None]
-    momentum = np.array([configs[i].momentum for i in members])[:, None, None]
+    shared = all(np.array_equal(xs[0], x) for x in xs[1:])
+    x = np.broadcast_to(xs[0], (len(xs), *xs[0].shape)) if shared else np.stack(xs)
+    params = np.stack([_flat(init_weights(topology, configs[i].seed))
+                       for i in members])
+    stack = _Stack(topology.layer_sizes, params, x, np.stack(ts))
+    rate = np.array([configs[i].learning_rate for i in members])[:, None]
+    momentum = np.array([configs[i].momentum for i in members])[:, None]
 
     active = members            # results index of each stack slot
     histories = {i: [] for i in members}
-    acts = _forward_stack(ws, bs, x)
     epoch = 0
-    while active:
-        epoch += 1
-        gw, gb = _backprop_stack(ws, acts, t)
-        for params, steps, grads in ((ws, step_w, gw), (bs, step_b, gb)):
-            for param, step, grad in zip(params, steps, grads):
-                step *= momentum
-                grad *= rate
-                step -= grad
-                param += step
-        acts = _forward_stack(ws, bs, x)
-        # On a diverging run the squared error overflows to inf; that is the
-        # signal we detect, not a fault worth a warning.
-        with np.errstate(over="ignore"):
-            err = acts[-1] - t
-            np.square(err, out=err)
-        current = err.mean(axis=(1, 2)).tolist()
-
-        keep = []
-        for slot, (i, value) in enumerate(zip(active, current)):
-            histories[i].append(value)
-            config = configs[i]
-            if not math.isfinite(value):
-                results[i] = Diverged(epoch)
-            elif value < config.goal or epoch == config.max_epochs:
-                weights = Weights([w[slot].copy() for w in ws],
-                                  [b[slot, 0].copy() for b in bs])
-                results[i] = (weights, TrainingTrace(
-                    epochs_run=epoch,
-                    final_mse=value,
-                    goal_met=value < config.goal,
-                    wall_time=0.0,
-                    goal=config.goal,
-                    max_epochs=config.max_epochs,
-                    mse_history=histories[i],
-                ))
-            else:
-                keep.append(slot)
-        if len(keep) < len(active):
-            active = [active[slot] for slot in keep]
-            ws, bs, step_w, step_b, acts = (
-                [a[keep] for a in arrays]
-                for arrays in (ws, bs, step_w, step_b, acts))
-            x = acts[0]         # the compacted inputs
-            t, rate, momentum = t[keep], rate[keep], momentum[keep]
+    with np.errstate(over="ignore"):
+        stack.forward()
+        while active:
+            epoch += 1
+            stack.backprop()
+            stack.step(rate, momentum)
+            current = stack.forward()
+            keep = []
+            for slot, (i, value) in enumerate(zip(active, current)):
+                histories[i].append(value)
+                config = configs[i]
+                if not math.isfinite(value):
+                    results[i] = Diverged(epoch)
+                elif value < config.goal or epoch == config.max_epochs:
+                    results[i] = (_unflat(stack.layers, slot), TrainingTrace(
+                        epochs_run=epoch,
+                        final_mse=value,
+                        goal_met=value < config.goal,
+                        wall_time=0.0,
+                        goal=config.goal,
+                        max_epochs=config.max_epochs,
+                        mse_history=histories[i],
+                    ))
+                else:
+                    keep.append(slot)
+            if len(keep) < len(active):
+                active = [active[slot] for slot in keep]
+                stack.keep(keep)
+                rate, momentum = rate[keep], momentum[keep]
 
     elapsed = time.perf_counter() - started
     total = sum(len(h) for h in histories.values())

@@ -181,8 +181,11 @@ def test_invalid_learning_rate_is_config_error(tmp_path):
     assert code == 2
 
 
+# Each case is a flag, its value and any flags the case needs beside it.
 BAD_TRAIN_FLAGS = [("--hidden", "0"), ("--downsample", "0"),
                    ("--max-negatives", "0"), ("--max-negatives", "-1"),
+                   ("--max-negatives", "0", "--mode", "acon"),
+                   ("--max-negatives", "5", "--mode", "acon"),
                    ("--components", "0"), ("--workers", "0"),
                    ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
                    ("--momentum", "1"), ("--goal", "nan"),
@@ -190,21 +193,20 @@ BAD_TRAIN_FLAGS = [("--hidden", "0"), ("--downsample", "0"),
 BAD_EVALUATE_FLAGS = [("--n-pos", "-1"), ("--n-neg", "-1"), ("--n-pos", "0"),
                       ("--threshold", "nan"), ("--threshold", "1.5"),
                       ("--threshold", "-1")]
+BAD_FLAGS = ([("train", *f) for f in BAD_TRAIN_FLAGS]
+             + [("evaluate", *f) for f in BAD_EVALUATE_FLAGS])
 
 
-@pytest.mark.parametrize(
-    "command,flag,value",
-    [("train", *f) for f in BAD_TRAIN_FLAGS]
-    + [("evaluate", *f) for f in BAD_EVALUATE_FLAGS])
-def test_out_of_range_flag_is_config_error(trained, tmp_path, capsys,
-                                           command, flag, value):
+@pytest.mark.parametrize("case", BAD_FLAGS, ids="-".join)
+def test_out_of_range_flag_is_config_error(trained, tmp_path, capsys, case):
+    command, flag, value, *extra = case
     data, roots, _ = trained
     store = (store_arg(tmp_path) if command == "train"
              else ":".join(str(r) for r in roots))
     speed = SPEED if command == "train" else []
     # argparse keeps the last value, so the bad flag overrides SPEED's.
     code = main([command, "--data", str(data), "--store", store, *speed,
-                 flag, value])
+                 flag, value, *extra])
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and "Traceback" not in err
