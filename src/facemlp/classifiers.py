@@ -38,9 +38,9 @@ class OconEnsemble:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate class ids in ensemble: {ids}")
         for m in self.models:
-            if m.topology.input_size != self.feature_dim:
+            if m.weights.layer_sizes[0] != self.feature_dim:
                 raise DimensionMismatch(
-                    f"class {m.class_id} expects {m.topology.input_size} "
+                    f"class {m.class_id} expects {m.weights.layer_sizes[0]} "
                     f"inputs, ensemble feature_dim is {self.feature_dim}"
                 )
 
@@ -144,8 +144,7 @@ def train_acon(train_samples, hidden: int = ACON_HIDDEN,
     config = config or TrainingConfig()
     task, class_ids = build_acon_task(train_samples)
     topology = Topology((len(train_samples[0][0]), hidden, len(class_ids)))
-    weights, trace = train(topology, task, config)
-    return AconModel(tuple(class_ids), topology, weights, trace)
+    return AconModel(tuple(class_ids), *train(topology, task, config))
 
 
 def _argmax_lowest(class_ids, scores: np.ndarray) -> int:

@@ -24,6 +24,7 @@ from .eigenspace import (
 )
 from .errors import (
     FacemlpError,
+    FileError,
     InvalidConfig,
     StoreError,
     WeightsUnavailable,
@@ -56,13 +57,13 @@ def _load_vectors(data: str, factor: int):
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.tsv"
     _, samples = load_manifest(manifest_path)
-    pairs = []
+    split = {"train": [], "test": []}
     for s in samples:
-        pairs.append((to_vector(downsample(s.image, factor)), s.class_id,
-                      s.role))
-    train = [(v, c) for v, c, role in pairs if role == "train"]
-    test = [(v, c) for v, c, role in pairs if role == "test"]
-    return train, test
+        split[s.role].append((to_vector(downsample(s.image, factor)),
+                              s.class_id))
+    if not split["train"]:
+        raise InvalidConfig("manifest contains no training samples")
+    return split["train"], split["test"]
 
 
 def _warn(message) -> None:
@@ -73,32 +74,42 @@ def _skipped(path: Path, exc: Exception) -> None:
     _warn(f"skipped replica {path}: {exc}")
 
 
-def _obtain_eigenspace(store: WeightStore, train_vectors, m: int):
-    """Reuse the stored projection if it was built from the same inputs,
-    or build one when the store holds none; returns (space, built).
+def _stored_eigenspace(store: WeightStore, train_vectors,
+                       m: int | None = None):
+    """The store's eigenspace, or None when no root holds one.
 
-    A stored space of other inputs is a configuration error rather than
-    something to rebuild: the store's weight files were trained on it.
+    A stored space built from another training matrix, or for train from
+    another requested m, is a configuration error rather than something
+    to rebuild or use: the store's weight files were trained on it.
+    evaluate passes no m and accepts the one the space was built with.
     """
     space = read_replicated(store, EIGENSPACE_FILENAME, load_eigenspace,
                             _skipped)
     if space is None:
-        return compute_eigenspace(train_vectors, m), True
-    wanted = fingerprint(train_vectors, m)
+        return None
+    built_m = space.fingerprint.rpartition(":")[2]
+    wanted = fingerprint(train_vectors, built_m if m is None else m)
     if space.fingerprint != wanted:
         raise InvalidConfig(
             f"stored eigenspace was built from other inputs (fingerprint "
-            f"{space.fingerprint}, this run {wanted}); train with the "
-            f"--data, --downsample and --components it was built with, "
-            f"or use a fresh --store"
+            f"{space.fingerprint}, this run {wanted}); use the --data, "
+            f"--downsample and (for train) --components it was built "
+            f"with, or train into a fresh --store"
         )
-    return space, False
+    return space
 
 
-def _write_trace(traces_dir: Path, name: str, trace) -> None:
-    traces_dir.mkdir(parents=True, exist_ok=True)
-    path = traces_dir / f"{name}_trace.csv"
-    path.write_text(evaluator.convergence_trace_csv(trace), encoding="ascii")
+def _write_traces(traces_dir: Path, traces) -> None:
+    """Write each (name, trace) as an epoch,mse CSV. The nets are stored
+    by now, so a trace that cannot be written is only a warning."""
+    for name, trace in traces:
+        path = traces_dir / f"{name}_trace.csv"
+        try:
+            traces_dir.mkdir(parents=True, exist_ok=True)
+            path.write_text(evaluator.convergence_trace_csv(trace),
+                            encoding="ascii")
+        except OSError as exc:
+            _warn(f"cannot write trace {path}: {exc}")
 
 
 def cmd_synth(args) -> int:
@@ -118,10 +129,11 @@ def cmd_train(args) -> int:
     if args.mode == "acon" and args.max_negatives is not None:
         raise InvalidConfig("--max-negatives applies to --mode ocon only")
     train_pairs, _ = _load_vectors(args.data, args.downsample)
-    if not train_pairs:
-        raise InvalidConfig("manifest contains no training samples")
-    space, built = _obtain_eigenspace(store, [v for v, _ in train_pairs],
-                                      args.components)
+    train_vectors = [v for v, _ in train_pairs]
+    space = _stored_eigenspace(store, train_vectors, args.components)
+    built = space is None
+    if built:
+        space = compute_eigenspace(train_vectors, args.components)
     features = [(project(space, v), c) for v, c in train_pairs]
     traces_dir = Path(args.traces_dir) if args.traces_dir \
         else Path(store.roots[0]) / "traces"
@@ -139,7 +151,7 @@ def cmd_train(args) -> int:
         store_built_space()
         for err in parallel.persist_acon(model, store).errors:
             _warn(err)
-        _write_trace(traces_dir, "acon", model.trace)
+        _write_traces(traces_dir, [("acon", model.trace)])
         status = "goal met" if model.trace.goal_met else "goal not met"
         print(f"acon: epochs={model.trace.epochs_run} "
               f"final MSE {model.trace.final_mse:.6g} "
@@ -151,21 +163,21 @@ def cmd_train(args) -> int:
     outcomes = parallel.run_pool(jobs, pool)
     store_built_space()
 
-    failed = 0
+    failed, traces = 0, []
     for outcome in outcomes:
         if outcome.model is None:
             failed += 1
             print(f"class {outcome.class_id}: training failed: "
                   f"{outcome.exception}", file=sys.stderr)
             continue
-        persisted = parallel.persist(outcome.model, store)
-        for err in persisted.errors:
+        for err in parallel.persist(outcome.model, store).errors:
             _warn(err)
         trace = outcome.model.trace
         status = "goal met" if trace.goal_met else "goal not met"
         print(f"class {outcome.class_id}: epochs={trace.epochs_run} "
               f"final MSE {trace.final_mse:.6g} ({status})")
-        _write_trace(traces_dir, f"class_{outcome.class_id}", trace)
+        traces.append((f"class_{outcome.class_id}", trace))
+    _write_traces(traces_dir, traces)
 
     total_wait = sum(o.queue_wait for o in outcomes)
     total_compute = sum(o.compute_seconds for o in outcomes)
@@ -178,8 +190,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     store = _resolve_store(args.store)
     train_pairs, test_pairs = _load_vectors(args.data, args.downsample)
-    space = read_replicated(store, EIGENSPACE_FILENAME, load_eigenspace,
-                            _skipped)
+    space = _stored_eigenspace(store, [v for v, _ in train_pairs])
     if space is None:
         raise StoreError(f"no valid {EIGENSPACE_FILENAME} in any store root")
     test_features = [(project(space, v), c) for v, c in test_pairs]
@@ -187,30 +198,27 @@ def cmd_evaluate(args) -> int:
                                   threshold=args.threshold,
                                   seed=args.protocol_seed)
 
-    partial = False
     if args.mode == "acon":
         models = parallel.load_acon(store, _skipped)
     else:
-        registered = sorted({c for _, c in train_pairs})
-        if not registered:
-            raise InvalidConfig("manifest contains no training samples")
-        table = {}
-        for cid in registered:
+        models = {}
+        for cid in sorted({c for _, c in train_pairs}):
             try:
-                table[cid] = parallel.load(cid, store, _skipped)
+                models[cid] = parallel.load(cid, store, _skipped)
             except WeightsUnavailable as exc:
-                table[cid] = None
-                partial = True
+                models[cid] = None
                 _warn(exc)
-        models = table
 
     report = evaluator.evaluate_all(models, test_features, protocol)
     text = evaluator.render_report(report, args.format)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise FileError(f"cannot write report {args.out}: {exc}") from exc
     else:
         print(text, end="")
-    return EXIT_PARTIAL if partial else EXIT_OK
+    return EXIT_PARTIAL if any(r.error for r in report.per_class) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

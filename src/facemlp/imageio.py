@@ -274,7 +274,10 @@ def write_dataset(samples: list[Sample], out_dir: str | Path) -> Path:
             raise FileError(f"cannot write {out_dir / name}: {exc}") from exc
         lines.append(f"{name}\t{sample.class_id}\t{sample.role}")
     manifest_path = out_dir / "manifest.tsv"
-    manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise FileError(f"cannot write {manifest_path}: {exc}") from exc
     return manifest_path
 
 

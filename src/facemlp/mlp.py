@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,20 +98,23 @@ class TrainingConfig:
 class TrainingTrace:
     """Record of one training run.
 
-    mse_history[i] is the batch MSE after update i+1, so its length equals
-    epochs_run and its last entry equals final_mse. goal and max_epochs echo
-    the config the run was given. wall_time is the net's share of its
-    lockstep group's training time, in proportion to its epochs; for a net
-    trained alone it is the whole training time.
+    mse_history[i] is the batch MSE after update i+1, so the run's epoch
+    count and final MSE are its length and last entry. wall_time is the
+    net's share of its lockstep group's training time, in proportion to
+    its epochs; for a net trained alone it is the whole training time.
     """
 
-    epochs_run: int
-    final_mse: float
+    mse_history: list[float]
     goal_met: bool
     wall_time: float
-    goal: float
-    max_epochs: int
-    mse_history: list[float] = field(default_factory=list)
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.mse_history)
+
+    @property
+    def final_mse(self) -> float:
+        return self.mse_history[-1]
 
 
 @dataclass(eq=False)
@@ -119,12 +122,11 @@ class ClassModel:
     """One trained binary subnet. trace is None when loaded from disk."""
 
     class_id: int
-    topology: Topology
     weights: Weights
     trace: TrainingTrace | None = None
 
     def __post_init__(self):
-        if self.topology.output_size != 1:
+        if self.weights.layer_sizes[-1] != 1:
             raise DimensionMismatch("class subnet must have exactly 1 output")
 
 
@@ -133,18 +135,15 @@ class AconModel:
     """Single net with one output per class, in class_ids order."""
 
     class_ids: tuple[int, ...]
-    topology: Topology
     weights: Weights
     trace: TrainingTrace | None = None
 
     def __post_init__(self):
-        k = len(self.class_ids)
+        k, outputs = len(self.class_ids), self.weights.layer_sizes[-1]
         if k < 2:
             raise InsufficientClasses("ACON needs at least 2 classes")
-        if self.topology.output_size != k:
-            raise DimensionMismatch(
-                f"{k} classes but {self.topology.output_size} outputs"
-            )
+        if outputs != k:
+            raise DimensionMismatch(f"{k} classes but {outputs} outputs")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -335,26 +334,6 @@ def gradients(weights: Weights,
     return _unflat(stack.grad_layers, 0)
 
 
-def mse(outputs, targets) -> float:
-    """Mean squared error over all samples and output components."""
-    if len(outputs) != len(targets):
-        raise DimensionMismatch(
-            f"{len(outputs)} outputs vs {len(targets)} targets"
-        )
-    if not outputs:
-        raise ValueError("empty output list")
-    total = 0.0
-    count = 0
-    for y, t in zip(outputs, targets):
-        y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if y.shape != t.shape:
-            raise DimensionMismatch(f"output {y.shape} vs target {t.shape}")
-        total += float(np.sum((y - t) ** 2))
-        count += y.size
-    return total / count
-
-
 def train(topology: Topology, batch, config: TrainingConfig) -> tuple[Weights, TrainingTrace]:
     """Train a fresh network on the batch.
 
@@ -438,14 +417,7 @@ def train_group(topology: Topology, batches: list, configs: list[TrainingConfig]
                     results[i] = Diverged(epoch)
                 elif value < config.goal or epoch == config.max_epochs:
                     results[i] = (_unflat(stack.layers, slot), TrainingTrace(
-                        epochs_run=epoch,
-                        final_mse=value,
-                        goal_met=value < config.goal,
-                        wall_time=0.0,
-                        goal=config.goal,
-                        max_epochs=config.max_epochs,
-                        mse_history=histories[i],
-                    ))
+                        histories[i], value < config.goal, 0.0))
                 else:
                     keep.append(slot)
             if len(keep) < len(active):

@@ -130,7 +130,7 @@ def _run_job_list(jobs: list[TrainingJob], submitted_at: float):
             if isinstance(result, Exception):
                 model, err = None, result
             else:
-                model, err = ClassModel(job.class_id, topology, *result), None
+                model, err = ClassModel(job.class_id, *result), None
             outcomes.append(JobOutcome(job.class_id, model, err,
                                        waited * share, elapsed * share))
         ready_at = time.monotonic()
@@ -216,7 +216,7 @@ def _parse(raw: bytes, expected_magic: str, path: Path):
         pos += fan_out * fan_in
         bs.append(np.array(numbers[pos : pos + fan_out]))
         pos += fan_out
-    return header_ids, sizes, Weights(ws, bs)
+    return header_ids, Weights(ws, bs)
 
 
 def class_filename(class_id: int) -> str:
@@ -236,10 +236,10 @@ def persist(model: ClassModel, store: WeightStore) -> PersistOutcome:
 def read_weight_file(path: str | Path) -> ClassModel:
     """Parse and checksum-validate one OCON weight file."""
     path = Path(path)
-    header_ids, sizes, weights = _parse(path.read_bytes(), "OCONW1", path)
+    header_ids, weights = _parse(path.read_bytes(), "OCONW1", path)
     if len(header_ids) != 1:
         raise FormatError(f"{path}: header must carry exactly one class id")
-    return ClassModel(header_ids[0], Topology(tuple(sizes)), weights)
+    return ClassModel(header_ids[0], weights)
 
 
 def load(class_id: int, store: WeightStore,
@@ -270,8 +270,8 @@ def persist_acon(model: AconModel, store: WeightStore) -> PersistOutcome:
 
 
 def _read_acon(path: Path) -> AconModel:
-    class_ids, sizes, weights = _parse(path.read_bytes(), "ACONW1", path)
-    return AconModel(tuple(class_ids), Topology(tuple(sizes)), weights)
+    class_ids, weights = _parse(path.read_bytes(), "ACONW1", path)
+    return AconModel(tuple(class_ids), weights)
 
 
 def load_acon(store: WeightStore,

@@ -1,6 +1,7 @@
 """Acceptance suite.
 
-One test per criterion; each prints a single line
+One test per criterion, and a second for criterion 4 that compares the
+epoch counts at two class counts; each prints a single line
     [criterion N] PASS/FAIL: <label> - <detail>
 (run pytest with -s to see the lines as they appear).
 
@@ -23,6 +24,7 @@ import pytest
 from facemlp.classifiers import (
     ClassModel,
     OconEnsemble,
+    build_ocon_jobs,
     build_ocon_task,
     classify_ocon,
     train_acon,
@@ -38,7 +40,6 @@ from facemlp.mlp import (
     forward,
     gradients,
     init_weights,
-    mse,
 )
 from facemlp.parallel import (
     PoolConfig,
@@ -64,8 +65,7 @@ def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
 def keyed_subnet(class_id: int, dim: int) -> ClassModel:
     w = np.zeros((1, dim))
     w[0, class_id - 1] = 50.0
-    return ClassModel(class_id, Topology((dim, 1)),
-                      Weights([w], [np.zeros(1)]))
+    return ClassModel(class_id, Weights([w], [np.zeros(1)]))
 
 
 def keyed_features(k: int, wrong_positives):
@@ -146,12 +146,12 @@ def test_criterion_2_gradient_correctness():
                 batch = [(rng.normal(size=sizes[0]),
                           rng.uniform(0.05, 0.95, size=sizes[-1]))
                          for _ in range(3)]
-                targets = [t for _, t in batch]
+                targets = np.vstack([t for _, t in batch])
                 analytic = gradients(w, batch)
 
                 def loss():
-                    outs = [forward(w, x)[0] for x, _ in batch]
-                    return mse(outs, targets)
+                    outs = np.vstack([forward(w, x)[0] for x, _ in batch])
+                    return np.mean((outs - targets) ** 2)
 
                 for layer in range(len(w.weights)):
                     for arr, grad in ((w.weights[layer],
@@ -238,6 +238,38 @@ def test_criterion_4_convergence_experiment(experiment):
                 detail)
 
 
+def test_criterion_4_epoch_ratio_grows_with_class_count():
+    # The paper's scaling claim: the shared net slows down as classes are
+    # added, far faster than the slowest per-class net. Desk shape (16x16,
+    # 10 training images per class, m = 20, goal 1e-3) at k = 5 and 10.
+    ok = False
+    detail = ""
+    try:
+        config = TrainingConfig(goal=1e-3, max_epochs=20000)
+        ratios = {}
+        for k in (5, 10):
+            samples = generate_synthetic(k, 10, 1, 16, seed=1)
+            train = [(to_vector(s.image), s.class_id)
+                     for s in samples if s.role == "train"]
+            space = compute_eigenspace([v for v, _ in train], m=20)
+            features = [(project(space, v), c) for v, c in train]
+            outcomes = run_pool(build_ocon_jobs(features, 20, config),
+                                PoolConfig(workers=1))
+            traces = [o.model.trace for o in outcomes]
+            acon = train_acon(features, 60, config).trace
+            assert all(t.goal_met for t in traces) and acon.goal_met
+            slowest = max(t.epochs_run for t in traces)
+            assert slowest < acon.epochs_run
+            ratios[k] = acon.epochs_run / slowest
+        assert ratios[5] < ratios[10]
+        ok = True
+        detail = ", ".join(f"k={k}: all-classes/slowest subnet epochs "
+                           f"{r:.2f}" for k, r in ratios.items())
+    finally:
+        _report(4, "all-classes epochs grow faster with k than per-class",
+                ok, detail)
+
+
 def test_criterion_5_recognition_on_separable_data(experiment):
     ok = False
     detail = ""
@@ -302,7 +334,7 @@ def test_criterion_7_fault_tolerance(tmp_path):
                 rng = np.random.default_rng(cid)
                 for arr in w.weights:
                     arr += rng.normal(scale=1.5, size=arr.shape)
-                models.append(ClassModel(cid, Topology((4, 3, 1)), w))
+                models.append(ClassModel(cid, w))
             return models
 
         test_samples = [(np.full(4, 0.2 * i - 0.3), 1 + i % 2)
@@ -358,7 +390,7 @@ def test_criterion_8_persistence_round_trip(tmp_path):
                 arr *= scale
             for arr in w.biases:
                 arr += rng.normal(scale=scale, size=arr.shape)
-            model = ClassModel(i + 1, Topology(sizes), w)
+            model = ClassModel(i + 1, w)
             persist(model, store)
             loaded = load(i + 1, store)
             for x, y in zip(loaded.weights.weights, w.weights):

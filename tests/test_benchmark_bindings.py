@@ -3,7 +3,9 @@
 perfbench/ imports and wraps facemlp functions by name, calls them, and
 checks the stored artifacts by file name. Its scripts are read here with
 ast, never imported or run, so a rename, a signature change or a format
-change that would break the benchmark fails this suite first.
+change that would break the benchmark fails this suite first. The last
+test trains and evaluates a tiny model set and reads every result field
+that perfbench reads.
 """
 
 import ast
@@ -11,9 +13,11 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from facemlp import eigenspace
+from facemlp import classifiers, eigenspace, evaluator, parallel
+from facemlp.mlp import TrainingConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -116,3 +120,35 @@ def test_facemlp_calls_the_scripts_make_bind(script):
                                           for k in call.keywords})
         except TypeError as exc:
             raise AssertionError(f"{where}: {exc}") from None
+
+
+def test_result_fields_the_tracer_and_checks_read(tmp_path):
+    # perfbench reads these off real results; a result type that drops
+    # or renames one breaks the benchmark, not this suite's other tests.
+    rng = np.random.default_rng(0)
+    vectors = [rng.normal(loc=c, size=6) for c in (1, 2, 3) for _ in range(4)]
+    space = eigenspace.compute_eigenspace(vectors, m=3)
+    assert space.dim == 6
+    samples = [(eigenspace.project(space, v), 1 + i // 4)
+               for i, v in enumerate(vectors)]
+    config = TrainingConfig(learning_rate=0.5, goal=1e-2, max_epochs=50)
+
+    jobs = classifiers.build_ocon_jobs(samples, 3, config)
+    outcomes = parallel.run_pool(jobs, parallel.PoolConfig(workers=1))
+    assert [o.class_id for o in outcomes] == [1, 2, 3]
+    assert all(o.compute_seconds > 0 for o in outcomes)
+    acon = classifiers.train_acon(samples, 4, config)
+    for trace in [o.model.trace for o in outcomes] + [acon.trace]:
+        assert isinstance(trace.epochs_run, int) and trace.epochs_run >= 1
+        assert isinstance(trace.goal_met, bool)
+        assert trace.wall_time > 0
+
+    ensemble = classifiers.OconEnsemble([o.model for o in outcomes], 3)
+    assert [m.class_id for m in ensemble.models] == [1, 2, 3]
+    store = parallel.WeightStore((tmp_path / "a", tmp_path / "b"))
+    persisted = parallel.persist(ensemble.models[0], store)
+    assert persisted.written == [tmp_path / "a" / "class_1.wts",
+                                 tmp_path / "b" / "class_1.wts"]
+    report = evaluator.evaluate_all(acon, samples,
+                                    evaluator.Protocol(n_pos=2, n_neg=2))
+    assert [r.n_test for r in report.per_class] == [4, 4, 4]

@@ -21,7 +21,7 @@ from facemlp.errors import (
     InsufficientClasses,
     NoCounterexamples,
 )
-from facemlp.mlp import Topology, TrainingConfig, Weights, forward
+from facemlp.mlp import TrainingConfig, Weights, forward
 
 
 def labeled(vec_class_pairs):
@@ -32,8 +32,7 @@ def keyed_subnet(class_id, dim, key_gain=50.0):
     """Single-layer net that fires iff feature[class_id - 1] is positive."""
     w = np.zeros((1, dim))
     w[0, class_id - 1] = key_gain
-    return ClassModel(class_id, Topology((dim, 1)),
-                      Weights([w], [np.zeros(1)]))
+    return ClassModel(class_id, Weights([w], [np.zeros(1)]))
 
 
 def test_build_ocon_task_relabels_in_order():
@@ -154,7 +153,7 @@ def test_train_acon_learns_separable_data():
                          max_epochs=20000, seed=0)
     model = train_acon(samples, config=cfg)
     assert model.class_ids == (1, 2)
-    assert model.topology.layer_sizes == (4, 60, 2)
+    assert model.weights.layer_sizes == (4, 60, 2)
     for f, cid in samples:
         predicted, scores = classify_acon(model, f)
         assert predicted == cid
@@ -174,8 +173,7 @@ def test_classify_ocon_argmax():
 def test_classify_ocon_tie_takes_lowest_id():
     # identical subnets guarantee an exact score tie
     w = np.ones((1, 3))
-    models = [ClassModel(cid, Topology((3, 1)),
-                         Weights([w.copy()], [np.zeros(1)]))
+    models = [ClassModel(cid, Weights([w.copy()], [np.zeros(1)]))
               for cid in (5, 2, 9)]
     predicted, scores = classify_ocon(OconEnsemble(models, 3), np.ones(3))
     assert predicted == 2
@@ -205,7 +203,7 @@ def test_classify_acon_argmax_and_ids():
                                              [0.0, 8.0, 0.0],
                                              [0.0, 0.0, 2.0]])],
                 [np.zeros(3), np.array([-2.0, 0.0, -1.0])])
-    model = AconModel((4, 7, 9), Topology((2, 3, 3)), w)
+    model = AconModel((4, 7, 9), w)
     predicted, scores = classify_acon(model, np.zeros(2))
     # hidden layer sits at 0.5, so output pre-activations are 0, 4, 0
     assert predicted == 7
@@ -215,7 +213,7 @@ def test_classify_acon_argmax_and_ids():
 def test_classify_acon_tie_takes_lowest_id():
     w = Weights([np.zeros((2, 2)), np.zeros((3, 2))],
                 [np.zeros(2), np.zeros(3)])
-    model = AconModel((8, 3, 6), Topology((2, 2, 3)), w)
+    model = AconModel((8, 3, 6), w)
     predicted, scores = classify_acon(model, np.array([1.0, -1.0]))
     assert scores[0] == scores[1] == scores[2] == 0.5
     assert predicted == 3
@@ -235,8 +233,7 @@ def test_argmax_invariant_under_monotone_transform(percents):
     for i, s in enumerate(scores, start=1):
         # single-unit net with constant output sigma(b) = s
         b = np.array([np.log(s / (1 - s))])
-        models.append(ClassModel(i, Topology((1, 1)),
-                                  Weights([np.zeros((1, 1))], [b])))
+        models.append(ClassModel(i, Weights([np.zeros((1, 1))], [b])))
     ensemble = OconEnsemble(models, 1)
     first, raw = classify_ocon(ensemble, np.zeros(1))
     assert first == 1 + int(np.argmax(raw))
@@ -261,12 +258,12 @@ def test_acon_model_validation():
     w = Weights([np.zeros((2, 2)), np.zeros((3, 2))],
                 [np.zeros(2), np.zeros(3)])
     with pytest.raises(InsufficientClasses):
-        AconModel((1,), Topology((2, 2, 1)), w)
+        AconModel((1,), w)
     with pytest.raises(DimensionMismatch):
-        AconModel((1, 2), Topology((2, 2, 3)), w)
+        AconModel((1, 2), w)
 
 
 def test_class_model_requires_single_output():
     w = Weights([np.zeros((2, 3))], [np.zeros(2)])
     with pytest.raises(DimensionMismatch):
-        ClassModel(1, Topology((3, 2)), w)
+        ClassModel(1, w)

@@ -393,6 +393,73 @@ def test_any_single_byte_mutation_keeps_evaluate_output(trained, name, root,
             assert name in err.getvalue()
 
 
+def test_evaluate_rejects_an_eigenspace_of_other_inputs(tmp_path, capsys):
+    # Root a was trained on one data set and root b on another; once a's
+    # space is corrupt, evaluate must not project through b's space.
+    ours = synth(tmp_path, "ours")
+    other = tmp_path / "other"
+    assert main(["synth", "--out", str(other), *DATASET[:-1], "4"]) == 0
+    assert run_train(tmp_path, ours, str(tmp_path / "a")) == 0
+    assert run_train(tmp_path, other, str(tmp_path / "b")) == 0
+    flip_byte(tmp_path / "a" / "eigenspace.txt", 100)
+    capsys.readouterr()
+    code = main(["evaluate", "--data", str(ours),
+                 "--store", store_arg(tmp_path, ("a", "b"))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: stored eigenspace was built from other inputs" \
+        in captured.err
+
+
+@pytest.mark.parametrize("mode", ["ocon", "acon"])
+@pytest.mark.parametrize("blocked", ["first-root", "traces-dir"])
+def test_unwritable_traces_warn_after_every_net_is_stored(tmp_path, capsys,
+                                                          mode, blocked):
+    data = synth(tmp_path)
+    blocker = tmp_path / "notadir"
+    blocker.write_text("a regular file\n")
+    extra = ["--mode", mode]
+    if blocked == "traces-dir":
+        extra += ["--traces-dir", str(blocker / "traces")]
+        store = store_arg(tmp_path, ("good",))
+    else:
+        store = store_arg(tmp_path, ("notadir", "good"))
+    assert run_train(tmp_path, data, store, *extra) == 0
+    names = ["acon.wts"] if mode == "acon" else ["class_1.wts",
+                                                 "class_2.wts"]
+    for name in names:
+        assert (tmp_path / "good" / name).is_file()
+    err = capsys.readouterr().err
+    assert "warning: cannot write trace" in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_report_to_a_missing_directory_is_one_error(trained,
+                                                             tmp_path,
+                                                             capsys):
+    data, roots, _ = trained
+    capsys.readouterr()
+    code = main(["evaluate", "--data", str(data), "--store",
+                 ":".join(str(r) for r in roots),
+                 "--out", str(tmp_path / "missing" / "r.txt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot write report")
+    assert err.count("\n") == 1
+
+
+def test_synth_manifest_that_cannot_be_written_is_one_error(tmp_path,
+                                                            capsys):
+    out = tmp_path / "data"
+    (out / "manifest.tsv").mkdir(parents=True)
+    code = main(["synth", "--out", str(out), *DATASET])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot write")
+    assert err.count("\n") == 1
+
+
 def test_missing_manifest_is_fatal(tmp_path):
     code = main(["train", "--data", str(tmp_path / "nowhere"),
                  "--store", store_arg(tmp_path), *SPEED])

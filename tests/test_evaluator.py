@@ -12,21 +12,19 @@ from facemlp.evaluator import (
     evaluate_class_ocon,
     render_report,
 )
-from facemlp.mlp import Topology, TrainingTrace, Weights
+from facemlp.mlp import TrainingTrace, Weights
 
 
 def constant_subnet(class_id, dim, score):
     """Single unit with zero input weights: output is sigma(b) = score."""
     bias = np.array([np.log(score / (1.0 - score))])
-    return ClassModel(class_id, Topology((dim, 1)),
-                      Weights([np.zeros((1, dim))], [bias]))
+    return ClassModel(class_id, Weights([np.zeros((1, dim))], [bias]))
 
 
 def keyed_subnet(class_id, dim):
     w = np.zeros((1, dim))
     w[0, class_id - 1] = 50.0
-    return ClassModel(class_id, Topology((dim, 1)),
-                      Weights([w], [np.zeros(1)]))
+    return ClassModel(class_id, Weights([w], [np.zeros(1)]))
 
 
 def keyed_features(k, wrong_positives):
@@ -41,11 +39,9 @@ def keyed_features(k, wrong_positives):
     return samples
 
 
-def fake_trace(goal_met=True, epochs=3, final=5e-4, goal=1e-3, cap=100):
+def fake_trace(goal_met=True, epochs=3, final=5e-4):
     history = [0.1, 0.01, final][:epochs]
-    return TrainingTrace(epochs_run=epochs, final_mse=history[-1],
-                         goal_met=goal_met, wall_time=0.01, goal=goal,
-                         max_epochs=cap, mse_history=history)
+    return TrainingTrace(history, goal_met, wall_time=0.01)
 
 
 def test_perfect_subnet_scores_100():
@@ -80,8 +76,7 @@ def test_eighteen_of_twenty_is_ninety_percent():
 def acon_identity(k):
     """Hidden-free net whose output c fires exactly on feature c."""
     w = np.eye(k) * 50.0
-    return AconModel(tuple(range(1, k + 1)), Topology((k, k)),
-                     Weights([w], [np.zeros(k)]))
+    return AconModel(tuple(range(1, k + 1)), Weights([w], [np.zeros(k)]))
 
 
 def test_acon_perfect_class():
@@ -96,8 +91,7 @@ def test_acon_constant_predictor_is_half_right():
     k = 3
     w = np.zeros((k, k))
     w[0, :] = 0.0
-    model = AconModel((1, 2, 3), Topology((k, k)),
-                      Weights([w], [np.array([5.0, 0.0, 0.0])]))
+    model = AconModel((1, 2, 3), Weights([w], [np.array([5.0, 0.0, 0.0])]))
     pos = [np.zeros(k)] * 10
     neg = [np.zeros(k)] * 10
     result = evaluate_class_acon(model, 1, pos, neg)
@@ -240,7 +234,7 @@ def test_table_and_csv_agree():
 def test_render_traces_report_goal_status():
     report = evaluate_all(acon_identity(2), keyed_features(2, [0, 0]))
     report.traces = [("acon", fake_trace(goal_met=False, epochs=3,
-                                         final=0.01, cap=700000))]
+                                         final=0.01))]
     text = render_report(report, "table")
     assert "goal not met" in text
     assert "epochs=3" in text
@@ -271,10 +265,11 @@ def test_trace_csv_shape():
 
 
 def test_trace_csv_goal_met_consistency():
-    trace = fake_trace(goal_met=True, final=5e-4, goal=1e-3)
+    goal = 1e-3
+    trace = fake_trace(goal_met=True, final=5e-4)
     text = convergence_trace_csv(trace)
     last = float(text.splitlines()[-1].split(",")[1])
-    assert last < trace.goal
+    assert last < goal
 
 
 def test_class_result_invariants():

@@ -14,7 +14,6 @@ from facemlp.mlp import (
     forward,
     gradients,
     init_weights,
-    mse,
     train,
     train_group,
 )
@@ -152,10 +151,11 @@ def test_gradients_match_finite_differences():
     w = init_weights(topo, seed=1)
     batch = [(rng.normal(size=2), [rng.uniform()]) for _ in range(3)]
     g = gradients(w, batch)
+    targets = np.vstack([t for _, t in batch])
 
     def loss():
-        outs = [forward(w, x)[0] for x, _ in batch]
-        return mse(outs, [t for _, t in batch])
+        outs = np.vstack([forward(w, x)[0] for x, _ in batch])
+        return np.mean((outs - targets) ** 2)
 
     h = 1e-5
     for layer in range(2):
@@ -177,19 +177,6 @@ def test_gradients_dimension_check():
         gradients(w, [(np.zeros(3), [0.0])])
     with pytest.raises(DimensionMismatch):
         gradients(w, [(np.zeros(2), [0.0, 1.0])])
-
-
-def test_mse_values():
-    assert mse([[0.5]], [[0.5]]) == 0.0
-    assert mse([[1.0]], [[0.0]]) == 1.0
-    assert mse([[0.5], [0.5]], [[0.0], [1.0]]) == 0.25
-
-
-def test_mse_dimension_checks():
-    with pytest.raises(DimensionMismatch):
-        mse([[0.5]], [[0.5], [0.5]])
-    with pytest.raises(DimensionMismatch):
-        mse([[0.5]], [[0.5, 0.5]])
 
 
 def test_train_stops_immediately_on_loose_goal():
@@ -222,7 +209,6 @@ def test_train_trace_bookkeeping():
     assert trace.final_mse == trace.mse_history[-1]
     assert trace.final_mse >= cfg.goal
     assert trace.wall_time >= 0.0
-    assert (trace.goal, trace.max_epochs) == (1e-9, 40)
 
 
 def test_train_accepts_full_scale_config():
@@ -235,7 +221,6 @@ def test_train_accepts_full_scale_config():
     assert trace.goal_met
     assert trace.epochs_run == 1
     assert trace.final_mse == 0.0
-    assert (trace.goal, trace.max_epochs) == (1e-6, 700_000)
 
 
 def test_train_is_deterministic():
@@ -253,8 +238,8 @@ def test_single_small_step_descends():
     topo = Topology((3, 5, 1))
     batch = [(rng.normal(size=3), [float(i % 2)]) for i in range(6)]
     before_w = init_weights(topo, seed=6)
-    outs = [forward(before_w, x)[0] for x, _ in batch]
-    before = mse(outs, [t for _, t in batch])
+    outs = np.vstack([forward(before_w, x)[0] for x, _ in batch])
+    before = np.mean((outs - np.vstack([t for _, t in batch])) ** 2)
     cfg = TrainingConfig(learning_rate=1e-4, momentum=0.0, goal=1e-12,
                          max_epochs=1, seed=6)
     _, trace = train(topo, batch, cfg)
@@ -329,8 +314,6 @@ def test_train_group_matches_reference_loop(data):
         assert trace.epochs_run == len(history)
         assert trace.final_mse == history[-1]
         assert trace.goal_met == met
-        assert (trace.goal, trace.max_epochs) == (config.goal,
-                                                  config.max_epochs)
 
 
 @pytest.mark.parametrize("sizes,k", [((20, 60, 10), 1), ((40, 20, 1), 4)],

@@ -55,7 +55,7 @@ def random_model(class_id, seed, sizes=(3, 4, 1)):
     rng = np.random.default_rng(seed + 1000)
     for arr in w.weights:
         arr += rng.normal(scale=2.0, size=arr.shape)
-    return ClassModel(class_id, Topology(sizes), w)
+    return ClassModel(class_id, w)
 
 
 def test_allocate_round_robin_even_split():
@@ -192,7 +192,7 @@ def test_outcomes_and_errors_survive_pickle():
     assert (copy.class_id, copy.exception) == (1, None)
     assert (copy.queue_wait, copy.compute_seconds) == (
         outcome.queue_wait, outcome.compute_seconds)
-    assert copy.model.topology == outcome.model.topology
+    assert copy.model.weights.layer_sizes == outcome.model.weights.layer_sizes
     assert same_models(copy.model, outcome.model)
     assert vars(copy.model.trace) == vars(outcome.model.trace)
 
@@ -262,7 +262,7 @@ def test_failures_stay_isolated_inside_a_lockstep_group(workers):
             assert outcome.model is None
             continue
         weights, trace = train(job.topology, job.task, job.config)
-        alone = ClassModel(job.class_id, job.topology, weights, trace)
+        alone = ClassModel(job.class_id, weights, trace)
         assert same_models(outcome.model, alone)
     assert all(o.compute_seconds > 0 for o in outcomes if o.class_id != 4)
 
@@ -313,7 +313,7 @@ def test_persist_load_roundtrip_is_exact(tmp_path):
     persist(model, store)
     loaded = load(7, store)
     assert loaded.class_id == 7
-    assert loaded.topology.layer_sizes == model.topology.layer_sizes
+    assert loaded.weights.layer_sizes == model.weights.layer_sizes
     for x, y in zip(loaded.weights.weights, model.weights.weights):
         assert np.array_equal(x, y)
     for x, y in zip(loaded.weights.biases, model.weights.biases):
@@ -378,7 +378,7 @@ def test_load_exhaustion(tmp_path):
 
 def test_read_rejects_foreign_header(tmp_path):
     store = WeightStore((tmp_path / "a",))
-    persist_acon_model = AconModel((1, 2), Topology((2, 2, 2)),
+    persist_acon_model = AconModel((1, 2),
                                    init_weights(Topology((2, 2, 2)), 0))
     persist_acon(persist_acon_model, store)
     with pytest.raises(FormatError):
@@ -415,7 +415,7 @@ def test_non_ascii_body_with_valid_checksum_rejected(tmp_path):
 def test_acon_roundtrip(tmp_path):
     store = WeightStore((tmp_path / "a", tmp_path / "b"))
     w = init_weights(Topology((3, 4, 2)), seed=2)
-    model = AconModel((2, 6), Topology((3, 4, 2)), w)
+    model = AconModel((2, 6), w)
     persist_acon(model, store)
     loaded = load_acon(store)
     assert loaded.class_ids == (2, 6)
@@ -426,7 +426,7 @@ def test_acon_roundtrip(tmp_path):
 def test_acon_failover_and_exhaustion(tmp_path):
     store = WeightStore((tmp_path / "a", tmp_path / "b"))
     w = init_weights(Topology((2, 3, 2)), seed=4)
-    persist_acon(AconModel((1, 2), Topology((2, 3, 2)), w), store)
+    persist_acon(AconModel((1, 2), w), store)
     (tmp_path / "a" / "acon.wts").unlink()
     assert load_acon(store).class_ids == (1, 2)
     (tmp_path / "b" / "acon.wts").unlink()
@@ -444,7 +444,7 @@ def test_seventeen_digit_precision_in_file(tmp_path):
     w = init_weights(Topology((2, 1)), seed=0)
     w.weights[0][0, 0] = 0.1 + 0.2
     w.weights[0][0, 1] = np.pi
-    model = ClassModel(8, Topology((2, 1)), w)
+    model = ClassModel(8, w)
     store = WeightStore((tmp_path / "a",))
     persist(model, store)
     loaded = load(8, store)
