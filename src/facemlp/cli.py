@@ -23,6 +23,7 @@ from .eigenspace import (
     project,
 )
 from .errors import (
+    DimensionMismatch,
     FacemlpError,
     FileError,
     InvalidConfig,
@@ -56,13 +57,23 @@ def _load_vectors(data: str, factor: int):
     manifest_path = Path(data)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.tsv"
-    _, samples = load_manifest(manifest_path)
-    split = {"train": [], "test": []}
-    for s in samples:
-        split[s.role].append((to_vector(downsample(s.image, factor)),
-                              s.class_id))
-    if not split["train"]:
+    manifest, samples = load_manifest(manifest_path)
+    roles = [s.role for s in samples]
+    if "train" not in roles:
         raise InvalidConfig("manifest contains no training samples")
+    images = [downsample(s.image, factor) for s in samples]
+    paths = [manifest.base_dir / r.path for r in manifest.records]
+    first = roles.index("train")
+    size = (images[first].width, images[first].height)
+    after = f" after --downsample {factor}" if factor > 1 else ""
+    for image, path in zip(images, paths):
+        if (image.width, image.height) != size:
+            raise DimensionMismatch(
+                f"{path} is {image.width}x{image.height}{after}, but the "
+                f"first training image {paths[first]} is {size[0]}x{size[1]}")
+    split = {"train": [], "test": []}
+    for s, image in zip(samples, images):
+        split[s.role].append((to_vector(image), s.class_id))
     return split["train"], split["test"]
 
 
@@ -130,61 +141,51 @@ def cmd_train(args) -> int:
         raise InvalidConfig("--max-negatives applies to --mode ocon only")
     train_pairs, _ = _load_vectors(args.data, args.downsample)
     train_vectors = [v for v, _ in train_pairs]
-    space = _stored_eigenspace(store, train_vectors, args.components)
-    built = space is None
-    if built:
-        space = compute_eigenspace(train_vectors, args.components)
+    space = _stored_eigenspace(store, train_vectors, args.components) \
+        or compute_eigenspace(train_vectors, args.components)
     features = [(project(space, v), c) for v, c in train_pairs]
     traces_dir = Path(args.traces_dir) if args.traces_dir \
         else Path(store.roots[0]) / "traces"
 
-    def store_built_space():
-        # After training, before any weight file: failed runs write nothing.
-        if built:
-            for err in write_replicated(store, EIGENSPACE_FILENAME,
-                                        encode_eigenspace(space)).errors:
-                _warn(err)
-
+    # Each net is (label, model or None, exception); ACON's is a list of one.
     if args.mode == "acon":
         hidden = ACON_HIDDEN if args.hidden is None else args.hidden
-        model = train_acon(features, hidden, config)
-        store_built_space()
-        for err in parallel.persist_acon(model, store).errors:
-            _warn(err)
-        _write_traces(traces_dir, [("acon", model.trace)])
-        status = "goal met" if model.trace.goal_met else "goal not met"
-        print(f"acon: epochs={model.trace.epochs_run} "
-              f"final MSE {model.trace.final_mse:.6g} "
-              f"(goal {config.goal:g}, {status})")
-        return EXIT_OK
+        outcomes, save = [], parallel.persist_acon
+        nets = [("acon", train_acon(features, hidden, config), None)]
+    else:
+        hidden = OCON_HIDDEN if args.hidden is None else args.hidden
+        jobs = build_ocon_jobs(features, hidden, config, args.max_negatives)
+        outcomes, save = parallel.run_pool(jobs, pool), parallel.persist
+        nets = [(f"class {o.class_id}", o.model, o.exception)
+                for o in outcomes]
 
-    hidden = OCON_HIDDEN if args.hidden is None else args.hidden
-    jobs = build_ocon_jobs(features, hidden, config, args.max_negatives)
-    outcomes = parallel.run_pool(jobs, pool)
-    store_built_space()
+    # After training, before any weight file: failed runs write nothing.
+    # A space read back re-encodes to its bytes: this mends a bad replica.
+    for err in write_replicated(store, EIGENSPACE_FILENAME,
+                                encode_eigenspace(space)).errors:
+        _warn(err)
 
-    failed, traces = 0, []
-    for outcome in outcomes:
-        if outcome.model is None:
-            failed += 1
-            print(f"class {outcome.class_id}: training failed: "
-                  f"{outcome.exception}", file=sys.stderr)
+    for label, model, exc in nets:
+        if model is None:
+            print(f"{label}: training failed: {exc}", file=sys.stderr)
             continue
-        for err in parallel.persist(outcome.model, store).errors:
+        for err in save(model, store).errors:
             _warn(err)
-        trace = outcome.model.trace
+        trace = model.trace
         status = "goal met" if trace.goal_met else "goal not met"
-        print(f"class {outcome.class_id}: epochs={trace.epochs_run} "
+        if args.mode == "acon":
+            status = f"goal {config.goal:g}, {status}"
+        print(f"{label}: epochs={trace.epochs_run} "
               f"final MSE {trace.final_mse:.6g} ({status})")
-        traces.append((f"class_{outcome.class_id}", trace))
-    _write_traces(traces_dir, traces)
+    _write_traces(traces_dir, [(label.replace(" ", "_"), model.trace)
+                               for label, model, _ in nets if model])
 
     total_wait = sum(o.queue_wait for o in outcomes)
     total_compute = sum(o.compute_seconds for o in outcomes)
     if total_compute > 0 and total_wait / total_compute > OVERHEAD_WARN_RATIO:
         _warn(f"queue wait is {total_wait / total_compute:.0%} of compute "
               f"time; consider fewer --workers")
-    return EXIT_PARTIAL if failed else EXIT_OK
+    return EXIT_PARTIAL if any(m is None for _, m, _ in nets) else EXIT_OK
 
 
 def cmd_evaluate(args) -> int:

@@ -79,7 +79,10 @@ def eig_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fingerprint(train_vectors, m: int) -> str:
     """Identify an eigenspace build: the CRC32 of the float64 training
     matrix, one row per vector, and the requested m."""
-    data = np.ascontiguousarray(np.vstack(train_vectors), dtype=np.float64)
+    vectors = [np.asarray(v) for v in train_vectors]
+    if len({v.shape for v in vectors}) > 1:
+        raise DimensionMismatch("training vectors differ in length")
+    data = np.ascontiguousarray(np.vstack(vectors), dtype=np.float64)
     return f"{zlib.crc32(data):08x}:{m}"
 
 

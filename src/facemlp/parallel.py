@@ -153,8 +153,11 @@ def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
     jobs share no state, each is deterministic, and a job's arithmetic is
     the same whichever lockstep group it trains in. A job that raises is
     reported in its outcome; the remaining jobs, those of its own group
-    included, still complete.
+    included, still complete. An empty job list is an InvalidConfig at
+    every worker count.
     """
+    if not jobs:
+        raise InvalidConfig("no jobs to run")
     ids = [j.class_id for j in jobs]
     if len(set(ids)) != len(ids):
         raise InvalidConfig(f"duplicate class ids in job list: {ids}")

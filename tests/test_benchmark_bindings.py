@@ -4,19 +4,21 @@ perfbench/ imports and wraps facemlp functions by name, calls them, and
 checks the stored artifacts by file name. Its scripts are read here with
 ast, never imported or run, so a rename, a signature change or a format
 change that would break the benchmark fails this suite first. The last
-test trains and evaluates a tiny model set and reads every result field
-that perfbench reads.
+two tests train a tiny model set: one reads every result field that
+perfbench reads, the other matches train's stdout against the pattern
+perfbench counts trained nets with.
 """
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from facemlp import classifiers, eigenspace, evaluator, parallel
+from facemlp import classifiers, cli, eigenspace, evaluator, parallel
 from facemlp.mlp import TrainingConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -152,3 +154,29 @@ def test_result_fields_the_tracer_and_checks_read(tmp_path):
     report = evaluator.evaluate_all(acon, samples,
                                     evaluator.Protocol(n_pos=2, n_neg=2))
     assert [r.n_test for r in report.per_class] == [4, 4, 4]
+
+
+def compiled_pattern(tree: ast.Module, name: str) -> re.Pattern:
+    """The pattern assigned as `name = re.compile(r"...", re.FLAG)`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            pattern, *flags = node.value.args
+            return re.compile(ast.literal_eval(pattern),
+                              sum(getattr(re, f.attr) for f in flags))
+    raise AssertionError(f"{name} is not assigned a compiled pattern")
+
+
+def test_train_prints_the_net_lines_measure_counts(tmp_path, capsys):
+    net_line = compiled_pattern(parse("measure.py"), "_NET_LINE")
+    data, store = tmp_path / "data", str(tmp_path / "store")
+    assert cli.main(["synth", "--out", str(data), "--classes", "3",
+                     "--train", "4", "--test", "2", "--side", "8"]) == 0
+    for mode, nets in (("ocon", ["1", "2", "3"]), ("acon", [None])):
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(data), "--store", store,
+                         "--mode", mode, "--components", "6",
+                         "--goal", "1e-2", "--max-epochs", "3000"]) == 0
+        matches = net_line.findall(capsys.readouterr().out)
+        assert [(c or None, met) for c, met in matches] \
+            == [(c, "goal met") for c in nets], mode

@@ -4,12 +4,14 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facemlp.cli import main
 from facemlp.errors import FacemlpError
+from facemlp.imageio import GrayImage, serialize_pgm
 from facemlp.store import frame, verify
 
 DATASET = ["--classes", "2", "--train", "4", "--test", "12",
@@ -292,6 +294,48 @@ def flip_byte(path: Path, pos: int, mask: int = 0x01) -> None:
     raw = bytearray(path.read_bytes())
     raw[pos % len(raw)] ^= mask
     path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("damage", ["flip", "delete"])
+def test_train_restores_a_damaged_eigenspace_replica(tmp_path, capsys,
+                                                      damage):
+    # A later train writes the space it used to every root, so a replica
+    # lost or damaged since the first train is mended, not left behind.
+    data = synth(tmp_path)
+    store = store_arg(tmp_path)
+    assert run_train(tmp_path, data, store) == 0
+    replica = tmp_path / "ra" / "eigenspace.txt"
+    if damage == "flip":
+        flip_byte(replica, 40)
+    else:
+        replica.unlink()
+    assert run_train(tmp_path, data, store, "--mode", "acon") == 0
+    assert replica.read_bytes() \
+        == (tmp_path / "rb" / "eigenspace.txt").read_bytes()
+    assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, image", [
+    ("train", "class01_train000.pgm"),
+    ("evaluate", "class01_train000.pgm"),
+    ("evaluate", "class02_test001.pgm"),
+])
+def test_image_of_another_size_is_one_error_naming_it(tmp_path, capsys,
+                                                       command, image):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--classes", "3", "--train",
+                 "4", "--test", "4", "--side", "8", "--seed", "1"]) == 0
+    store = store_arg(tmp_path)
+    assert run_train(tmp_path, data, store) == 0
+    (data / image).write_bytes(
+        serialize_pgm(GrayImage(9, 9, np.zeros(81, dtype=np.uint8))))
+    capsys.readouterr()
+    code = main([command, "--data", str(data), "--store", store,
+                 *(SPEED if command == "train" else [])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert image in err and "9x9" in err and "8x8" in err
 
 
 def evaluate_csv(data, roots, mode, out: Path) -> bytes:

@@ -186,6 +186,11 @@ def test_fingerprint_names_the_training_matrix_and_m():
     assert space.fingerprint != fingerprint(vecs, 5)
 
 
+def test_fingerprint_rejects_vectors_of_unequal_length():
+    with pytest.raises(DimensionMismatch):
+        fingerprint([np.zeros(4), np.zeros(5)], 1)
+
+
 def write_framed(path, body: bytes):
     path.write_bytes(frame(body))
 

@@ -80,6 +80,12 @@ def test_allocate_rejects_empty():
         allocate([], PoolConfig())
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_pool_rejects_empty_at_every_worker_count(workers):
+    with pytest.raises(InvalidConfig):
+        run_pool([], PoolConfig(workers=workers))
+
+
 def test_pool_config_validation():
     with pytest.raises(InvalidConfig):
         PoolConfig(workers=0)

@@ -17,7 +17,9 @@ Both trains use --goal 1e-3 --max-epochs 20000 and the workload's
 --components. Every file the steps write (the data set and both store
 roots, traces/ included) and every step's exit code, stdout and stderr
 are then compared byte for byte. Each path that differs is printed, and
-the exit code is 1 if any differs, 0 if none does, and 2 on a usage
+so is each step that exits non-zero in the working tree: two trees that
+fail the same way compare nothing. The exit code is 1 if any output
+differs or any working-tree step fails, 0 otherwise, and 2 on a usage
 error or a revision git cannot archive.
 
 One stderr line is left out of the comparison: the pool's queue-wait
@@ -97,7 +99,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/same_outputs.py REV", file=sys.stderr)
         return 2
-    differ = 0
+    differ = failed = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         tmp = Path(tmp)
         try:
@@ -114,8 +116,13 @@ def main(argv: list[str]) -> int:
                     differ += 1
                     print(f"{shape}: {path} differs")
             print(f"{shape}: {len(old.keys() | new.keys())} outputs compared")
-    print("different" if differ else "identical")
-    return 1 if differ else 0
+            for name, _ in steps(shape):
+                code = new[f"{name}.exit"].decode()
+                if code != "0":
+                    failed += 1
+                    print(f"{shape}: {name} exits {code} in the working tree")
+    print("failed" if failed else "different" if differ else "identical")
+    return 1 if differ or failed else 0
 
 
 if __name__ == "__main__":
