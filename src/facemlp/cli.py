@@ -36,9 +36,6 @@ from .parallel import PoolConfig
 from .store import WeightStore, read_replicated, write_replicated
 
 STORE_ENV = "FACEMLP_STORE"
-# Queue wait beyond this fraction of compute time suggests the pool is
-# the bottleneck rather than the training itself.
-OVERHEAD_WARN_RATIO = 0.1
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -150,14 +147,14 @@ def cmd_train(args) -> int:
     # Each net is (label, model or None, exception); ACON's is a list of one.
     if args.mode == "acon":
         hidden = ACON_HIDDEN if args.hidden is None else args.hidden
-        outcomes, save = [], parallel.persist_acon
+        save = parallel.persist_acon
         nets = [("acon", train_acon(features, hidden, config), None)]
     else:
         hidden = OCON_HIDDEN if args.hidden is None else args.hidden
         jobs = build_ocon_jobs(features, hidden, config, args.max_negatives)
-        outcomes, save = parallel.run_pool(jobs, pool), parallel.persist
+        save = parallel.persist
         nets = [(f"class {o.class_id}", o.model, o.exception)
-                for o in outcomes]
+                for o in parallel.run_pool(jobs, pool)]
 
     # After training, before any weight file: failed runs write nothing.
     # A space read back re-encodes to its bytes: this mends a bad replica.
@@ -180,11 +177,6 @@ def cmd_train(args) -> int:
     _write_traces(traces_dir, [(label.replace(" ", "_"), model.trace)
                                for label, model, _ in nets if model])
 
-    total_wait = sum(o.queue_wait for o in outcomes)
-    total_compute = sum(o.compute_seconds for o in outcomes)
-    if total_compute > 0 and total_wait / total_compute > OVERHEAD_WARN_RATIO:
-        _warn(f"queue wait is {total_wait / total_compute:.0%} of compute "
-              f"time; consider fewer --workers")
     return EXIT_PARTIAL if any(m is None for _, m, _ in nets) else EXIT_OK
 
 

@@ -28,7 +28,6 @@ from .errors import (
     FormatError,
     InsufficientData,
     InvalidConfig,
-    NotSymmetric,
 )
 from .store import WeightStore, verify, write_replicated
 
@@ -59,18 +58,13 @@ class Eigenspace:
 
 
 def eig_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a real symmetric matrix with LAPACK (numpy.linalg.eigh).
+    """Eigendecompose a real symmetric matrix with LAPACK (numpy.linalg.eigh,
+    which reads only the lower triangle).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues descending and
     eigenvectors as orthonormal columns, so that a == V diag(w) V^T within
     rounding. Tied eigenvalues keep LAPACK's relative order.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetric("input must be a square matrix")
-    if a.shape[0] and np.max(np.abs(a - a.T)) > 1e-12:
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
-
     values, vectors = np.linalg.eigh(a)
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]
@@ -99,15 +93,12 @@ def compute_eigenspace(train_vectors: list[np.ndarray] | np.ndarray,
     vectors = [np.asarray(v, dtype=np.float64) for v in train_vectors]
     if len(vectors) < 2:
         raise InsufficientData("need at least 2 training vectors")
-    d = vectors[0].shape[0]
-    for v in vectors:
-        if v.ndim != 1 or v.shape[0] != d:
-            raise DimensionMismatch("training vectors differ in length")
     if m < 1:
         raise InvalidConfig("m must be >= 1")
+    built_from = fingerprint(vectors, m)    # rejects unequal lengths
 
-    n = len(vectors)
     data = np.vstack(vectors)           # (n, d)
+    n, d = data.shape
     mean = data.mean(axis=0)
     centered = data - mean              # rows are centered vectors
 
@@ -123,8 +114,7 @@ def compute_eigenspace(train_vectors: list[np.ndarray] | np.ndarray,
         if face[np.argmax(np.abs(face))] < 0:
             face = -face
         basis[:, i] = face
-    return Eigenspace(d, mean, basis, cov_values[:keep].copy(),
-                      fingerprint(data, m))
+    return Eigenspace(d, mean, basis, cov_values[:keep].copy(), built_from)
 
 
 def project(space: Eigenspace, v: np.ndarray) -> np.ndarray:

@@ -41,10 +41,6 @@ class InvalidConfig(FacemlpError):
 
 # --- linear algebra and feature extraction ---
 
-class NotSymmetric(FacemlpError):
-    """Matrix handed to the symmetric eigensolver is not symmetric."""
-
-
 class DimensionMismatch(FacemlpError):
     """Vector or matrix dimensions are inconsistent."""
 

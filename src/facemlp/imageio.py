@@ -50,13 +50,6 @@ class GrayImage:
             px = px.astype(np.uint8)
         self.pixels = px
 
-    def same_pixels(self, other: "GrayImage") -> bool:
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.pixels, other.pixels)
-        )
-
 
 @dataclass(eq=False)
 class Sample:

@@ -68,17 +68,14 @@ class PoolConfig:
 class JobOutcome:
     """Result slot for one job; exactly one of model/exception is set.
 
-    queue_wait and compute_seconds are the job's shares, in proportion to
-    the epochs it ran, of its lockstep group's wait (from the group being
-    runnable, its bucket submitted and the previous group done, to its
-    start) and training time, so a bucket's waits and compute times sum
-    to its real wait and real compute time.
+    compute_seconds is the job's share, in proportion to the epochs it
+    ran, of its lockstep group's training time, so a bucket's compute
+    times sum to its real compute time.
     """
 
     class_id: int
     model: ClassModel | None = None
     exception: BaseException | None = None
-    queue_wait: float = 0.0
     compute_seconds: float = 0.0
 
 
@@ -96,26 +93,22 @@ def allocate(jobs: list[TrainingJob], pool: PoolConfig) -> list[list[TrainingJob
     return buckets
 
 
-def _run_job_list(jobs: list[TrainingJob], submitted_at: float):
+def _run_job_list(jobs: list[TrainingJob]):
     """Run a bucket's jobs into one JobOutcome each, in group order.
 
     Never raises, so one failure cannot sink a batch: a job's exception
     is kept in its outcome. Jobs that share a topology and a sample count
     form a group, in order of first appearance, and each group trains in
-    lockstep through train_group. A group waits from the later of the
-    bucket's submission and the end of the previous group to its own
-    start. Each job gets a share of its group's wait and of its elapsed
-    time, in proportion to the epochs it ran, so a bucket's waits and
-    compute times sum to its real wait and real compute time.
+    lockstep through train_group. Each job gets a share of its group's
+    elapsed time, in proportion to the epochs it ran, so a bucket's
+    compute times sum to its real compute time.
     """
     groups: dict[tuple[Topology, int], list[TrainingJob]] = {}
     for job in jobs:
         groups.setdefault((job.topology, len(job.task)), []).append(job)
 
     outcomes = []
-    ready_at = submitted_at
     for (topology, _), group in groups.items():
-        waited = time.monotonic() - ready_at
         started = time.perf_counter()
         try:
             trained = train_group(topology, [job.task for job in group],
@@ -132,8 +125,7 @@ def _run_job_list(jobs: list[TrainingJob], submitted_at: float):
             else:
                 model, err = ClassModel(job.class_id, *result), None
             outcomes.append(JobOutcome(job.class_id, model, err,
-                                       waited * share, elapsed * share))
-        ready_at = time.monotonic()
+                                       elapsed * share))
     return outcomes
 
 
@@ -163,14 +155,14 @@ def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
         raise InvalidConfig(f"duplicate class ids in job list: {ids}")
 
     if pool.workers == 1:
-        outcomes = _run_job_list(jobs, time.monotonic())
+        outcomes = _run_job_list(jobs)
     else:
         buckets = [b for b in allocate(jobs, pool) if b]
         ctx = multiprocessing.get_context("fork")
         outcomes = []
         with ProcessPoolExecutor(max_workers=len(buckets),
                                  mp_context=ctx) as executor:
-            futures = [executor.submit(_run_job_list, bucket, time.monotonic())
+            futures = [executor.submit(_run_job_list, bucket)
                        for bucket in buckets]
             for fut in futures:
                 outcomes.extend(fut.result())

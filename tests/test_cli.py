@@ -155,13 +155,14 @@ def test_train_with_worker_pool(tmp_path):
     assert (tmp_path / "pool" / "class_2.wts").exists()
 
 
-def test_single_worker_train_has_no_queue_warning(tmp_path, capsys):
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_successful_train_writes_nothing_to_stderr(tmp_path, capsys, workers):
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--classes", "5", "--train",
                  "4", "--test", "2", "--side", "8", "--seed", "3"]) == 0
     assert run_train(tmp_path, data, store_arg(tmp_path), "--workers",
-                     "1") == 0
-    assert "queue wait" not in capsys.readouterr().err
+                     workers) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_full_scale_flags_accepted(tmp_path, capsys):

@@ -21,7 +21,6 @@ from facemlp.errors import (
     FileError,
     FormatError,
     InsufficientData,
-    NotSymmetric,
 )
 from facemlp.store import frame
 
@@ -59,13 +58,6 @@ def test_eig_empty_and_scalar():
     values, vectors = eig_symmetric(np.array([[3.0]]))
     np.testing.assert_array_equal(values, [3.0])
     np.testing.assert_array_equal(np.abs(vectors), [[1.0]])
-
-
-def test_eig_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
-        eig_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(NotSymmetric):
-        eig_symmetric(np.zeros((2, 3)))
 
 
 def training_vectors(n, d, seed):

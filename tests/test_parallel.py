@@ -1,5 +1,4 @@
 import pickle
-import time
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from facemlp import errors, parallel
 from facemlp.classifiers import AconModel, ClassModel, train_ocon
-from facemlp.cli import OVERHEAD_WARN_RATIO
 from facemlp.errors import (
     ChecksumMismatch,
     DimensionMismatch,
@@ -95,29 +93,7 @@ def test_run_pool_results_sorted_and_complete():
     outcomes = run_pool(make_jobs(5), PoolConfig(workers=1))
     assert [o.class_id for o in outcomes] == [1, 2, 3, 4, 5]
     assert all(o.model is not None for o in outcomes)
-    assert all(o.queue_wait >= 0.0 for o in outcomes)
     assert all(o.compute_seconds > 0.0 for o in outcomes)
-
-
-def test_queue_wait_excludes_earlier_jobs_compute():
-    # With one worker every job shares a bucket; a job's wait must not
-    # include the training time of the jobs ahead of it.
-    outcomes = run_pool(make_jobs(6), PoolConfig(workers=1))
-    total_wait = sum(o.queue_wait for o in outcomes)
-    total_compute = sum(o.compute_seconds for o in outcomes)
-    assert total_wait < OVERHEAD_WARN_RATIO * total_compute
-
-
-def test_queue_wait_of_a_group_is_shared_not_repeated():
-    # Six jobs of one topology and size train as one lockstep group that
-    # waited about a second; their waits must sum to that one wait, not
-    # count it once per job.
-    submitted = time.monotonic() - 1.0
-    earliest = time.monotonic() - submitted
-    results = parallel._run_job_list(make_jobs(6), submitted)
-    latest = time.monotonic() - submitted
-    total_wait = sum(o.queue_wait for o in results)
-    assert earliest - 1e-9 <= total_wait <= latest
 
 
 def test_run_pool_parallel_equals_sequential():
@@ -163,7 +139,6 @@ ERROR_CASES = [
     errors.FileError("missing file"),
     errors.ManifestSyntax("bad role", 7),
     errors.InvalidConfig("workers must be >= 1"),
-    errors.NotSymmetric("not symmetric"),
     errors.DimensionMismatch("3 != 4"),
     errors.InsufficientData("too few vectors"),
     errors.FormatError("truncated"),
@@ -196,8 +171,7 @@ def test_outcomes_and_errors_survive_pickle():
     [outcome] = run_pool(make_jobs(1), PoolConfig(workers=1))
     copy = pickle.loads(pickle.dumps(outcome))
     assert (copy.class_id, copy.exception) == (1, None)
-    assert (copy.queue_wait, copy.compute_seconds) == (
-        outcome.queue_wait, outcome.compute_seconds)
+    assert copy.compute_seconds == outcome.compute_seconds
     assert copy.model.weights.layer_sizes == outcome.model.weights.layer_sizes
     assert same_models(copy.model, outcome.model)
     assert vars(copy.model.trace) == vars(outcome.model.trace)
