@@ -17,7 +17,6 @@ from .errors import (
     DimensionMismatch,
     EmptyClass,
     InsufficientClasses,
-    InvalidConfig,
     NoCounterexamples,
 )
 from .mlp import AconModel, ClassModel, Topology, TrainingConfig, forward, train
@@ -83,53 +82,32 @@ def build_acon_task(train_samples):
     return task, class_ids
 
 
-def _subsample_negatives(task, cap: int, seed: int):
-    """Keep all positives and a seeded draw of at most cap negatives."""
-    neg_idx = [i for i, (_, t) in enumerate(task) if t == 0.0]
-    if len(neg_idx) <= cap:
-        return task
-    rng = np.random.default_rng(seed)
-    keep = set(rng.choice(neg_idx, size=cap, replace=False).tolist())
-    return [pair for i, pair in enumerate(task)
-            if pair[1] == 1.0 or i in keep]
-
-
-def build_ocon_jobs(train_samples, hidden: int, config: TrainingConfig,
-                    max_negatives: int | None = None) -> list[TrainingJob]:
+def build_ocon_jobs(train_samples, hidden: int,
+                    config: TrainingConfig) -> list[TrainingJob]:
     """One pool job per class, in class_id order.
 
     Each job trains a (feature dim, hidden, 1) net on its class's
-    relabelled task, with negatives capped at max_negatives when given,
-    and with the config's seed offset by class_id so the subnets start
-    from distinct weights.
+    relabelled task, all n training samples, with the config's seed
+    offset by class_id so the subnets start from distinct weights.
     """
     class_ids = sorted({cid for _, cid in train_samples})
     if len(class_ids) < 2:
         raise InsufficientClasses(f"need >= 2 classes, got {class_ids}")
-    if max_negatives is not None and max_negatives < 1:
-        raise InvalidConfig("max_negatives must be >= 1")
     topology = Topology((len(train_samples[0][0]), hidden, 1))
-    jobs = []
-    for cid in class_ids:
-        task = build_ocon_task(cid, train_samples)
-        if max_negatives is not None:
-            task = _subsample_negatives(task, max_negatives, config.seed + cid)
-        jobs.append(TrainingJob(cid, task, topology,
-                                replace(config, seed=config.seed + cid)))
-    return jobs
+    return [TrainingJob(cid, build_ocon_task(cid, train_samples), topology,
+                        replace(config, seed=config.seed + cid))
+            for cid in class_ids]
 
 
 def train_ocon(train_samples, hidden: int = OCON_HIDDEN,
-               config: TrainingConfig | None = None, pool=None,
-               max_negatives: int | None = None) -> OconEnsemble:
+               config: TrainingConfig | None = None, pool=None) -> OconEnsemble:
     """Train one subnet per class and bundle them.
 
     Every subnet is a (feature dim, hidden, 1) net; only the weights
     differ. Training runs through the worker pool; any job failure is
     re-raised here.
     """
-    jobs = build_ocon_jobs(train_samples, hidden, config or TrainingConfig(),
-                           max_negatives)
+    jobs = build_ocon_jobs(train_samples, hidden, config or TrainingConfig())
     outcomes = run_pool(jobs, pool or PoolConfig())
     for outcome in outcomes:
         if outcome.model is None:

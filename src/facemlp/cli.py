@@ -12,13 +12,13 @@ import sys
 from pathlib import Path
 
 from . import evaluator, parallel
-from .classifiers import ACON_HIDDEN, OCON_HIDDEN, build_ocon_jobs, train_acon
+from .classifiers import (ACON_HIDDEN, DEFAULT_THRESHOLD, OCON_HIDDEN,
+                          build_ocon_jobs, train_acon)
 from .eigenspace import (
     DEFAULT_COMPONENTS,
     EIGENSPACE_FILENAME,
     compute_eigenspace,
     encode_eigenspace,
-    fingerprint,
     load_eigenspace,
     project,
 )
@@ -95,8 +95,7 @@ def _stored_eigenspace(store: WeightStore, train_vectors,
                             _skipped)
     if space is None:
         return None
-    built_m = space.fingerprint.rpartition(":")[2]
-    wanted = fingerprint(train_vectors, built_m if m is None else m)
+    wanted = space.expected_fingerprint(train_vectors, m)
     if space.fingerprint != wanted:
         raise InvalidConfig(
             f"stored eigenspace was built from other inputs (fingerprint "
@@ -134,8 +133,6 @@ def cmd_train(args) -> int:
                             goal=args.goal, max_epochs=args.max_epochs,
                             seed=args.seed)
     pool = PoolConfig(workers=args.workers)
-    if args.mode == "acon" and args.max_negatives is not None:
-        raise InvalidConfig("--max-negatives applies to --mode ocon only")
     train_pairs, _ = _load_vectors(args.data, args.downsample)
     train_vectors = [v for v, _ in train_pairs]
     space = _stored_eigenspace(store, train_vectors, args.components) \
@@ -151,7 +148,7 @@ def cmd_train(args) -> int:
         nets = [("acon", train_acon(features, hidden, config), None)]
     else:
         hidden = OCON_HIDDEN if args.hidden is None else args.hidden
-        jobs = build_ocon_jobs(features, hidden, config, args.max_negatives)
+        jobs = build_ocon_jobs(features, hidden, config)
         save = parallel.persist
         nets = [(f"class {o.class_id}", o.model, o.exception)
                 for o in parallel.run_pool(jobs, pool)]
@@ -260,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--lr", type=float, default=0.05)
     train.add_argument("--momentum", type=float, default=0.9)
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--max-negatives", type=int, default=None,
-                       help="cap negatives per class task")
     train.add_argument("--traces-dir", default=None,
                        help="where to write per-network epoch,mse CSVs "
                             "(default: <first root>/traces)")
@@ -271,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     data_store_flags(ev)
     ev.add_argument("--mode", choices=("ocon", "acon"), default="ocon")
     ev.add_argument("--format", choices=("table", "csv"), default="table")
-    ev.add_argument("--threshold", type=float, default=0.5)
+    ev.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     ev.add_argument("--n-pos", type=int, default=evaluator.DEFAULT_N_POS)
     ev.add_argument("--n-neg", type=int, default=evaluator.DEFAULT_N_NEG)
     ev.add_argument("--protocol-seed", type=int, default=0)

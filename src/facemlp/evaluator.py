@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import AconModel, ClassModel, OconEnsemble, classify_acon, verify
+from .classifiers import (DEFAULT_THRESHOLD, AconModel, ClassModel,
+                          OconEnsemble, classify_acon, verify)
 from .errors import InvalidConfig, ProtocolError, UnknownClass
 from .mlp import TrainingTrace, forward
 
@@ -27,7 +28,7 @@ class Protocol:
 
     n_pos: int = DEFAULT_N_POS
     n_neg: int = DEFAULT_N_NEG
-    threshold: float = 0.5
+    threshold: float = DEFAULT_THRESHOLD
     seed: int = 0
 
     def __post_init__(self):
@@ -72,7 +73,7 @@ def _tally(class_id: int, accepts, positives, negatives) -> ClassResult:
 
 
 def evaluate_class_ocon(model: ClassModel, positives, negatives,
-                        threshold: float = 0.5) -> ClassResult:
+                        threshold: float = DEFAULT_THRESHOLD) -> ClassResult:
     """Score one subnet: accept positives, reject negatives."""
     def accepts(f) -> bool:
         out, _ = forward(model.weights, np.asarray(f, dtype=np.float64))

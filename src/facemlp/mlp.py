@@ -359,18 +359,18 @@ def train_group(topology: Topology, batches: list, configs: list[TrainingConfig]
     batch, seed, learning rate, momentum, goal and max_epochs. Each net's
     parameters are one row of a flat buffer, and nets with equal inputs
     share one copy of them, so an epoch is one stacked forward pass,
-    backprop and four-call momentum step for every net still training,
-    into arrays allocated once per stack size. A net leaves the stack at the epoch it meets its goal,
-    diverges or reaches its max_epochs. Each net's arithmetic is exactly
-    what train would do for it alone, so its weights and mse_history do
-    not depend on which other nets share the group.
+    backprop and four-call momentum step for every net still training, into
+    arrays allocated once per stack size. A net leaves the stack at the
+    epoch it meets its goal, diverges or reaches its max_epochs. Each net's
+    arithmetic is exactly what train would do for it alone, so its weights
+    and mse_history do not depend on which other nets share the group.
 
-    Returns one entry per net, in order: (weights, trace), or the
-    exception that net raised (DimensionMismatch, ValueError or TypeError
-    for a bad batch, Diverged for a non-finite MSE). Raises InvalidConfig if the
-    batches differ in sample count. A trace's wall_time is the net's
-    share of the group's training time, in proportion to its epochs, so
-    the shares of a group sum to its elapsed time.
+    Returns one entry per net, in order: (weights, trace), or the exception
+    that net raised (DimensionMismatch, ValueError or TypeError for a bad
+    batch, Diverged for a non-finite MSE). Raises InvalidConfig if the
+    batches differ in sample count. A trace's wall_time is the net's share
+    of the group's training time, in proportion to its epochs, so the
+    shares of a group sum to its elapsed time.
     """
     if len(batches) != len(configs):
         raise InvalidConfig(f"{len(batches)} batches for {len(configs)} configs")

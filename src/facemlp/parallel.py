@@ -3,10 +3,10 @@
 The pool is a set of local worker processes standing in for the separate
 machines a networked deployment would use: jobs are independent, training
 is seed-deterministic, so the outcome is bit-identical however the jobs
-are spread. Within a worker, the jobs that share a topology and a sample
-count train in lockstep (mlp.train_group), which shares NumPy's per-call
-overhead among them without changing any net's arithmetic: processes
-split the classes, lockstep speeds up each process.
+are spread. The jobs share one topology and one sample count, so each
+worker's jobs train as one lockstep stack (mlp.train_group), sharing
+NumPy's per-call overhead without changing any net's arithmetic:
+processes split the classes, lockstep speeds up each process.
 
 The weight-file codec lives here too: persist and load encode and decode
 a net's text body, and facemlp.store frames it with its checksum,
@@ -69,8 +69,8 @@ class JobOutcome:
     """Result slot for one job; exactly one of model/exception is set.
 
     compute_seconds is the job's share, in proportion to the epochs it
-    ran, of its lockstep group's training time, so a bucket's compute
-    times sum to its real compute time.
+    ran, of its bucket's training time, so a bucket's compute times sum
+    to its real compute time.
     """
 
     class_id: int
@@ -82,8 +82,8 @@ class JobOutcome:
 def allocate(jobs: list[TrainingJob], pool: PoolConfig) -> list[list[TrainingJob]]:
     """Split jobs across workers round robin: job i goes to worker i mod W.
 
-    OCON tasks all hold the same n relabelled samples unless negatives are
-    capped, so balancing by task size would build the same buckets.
+    OCON tasks all hold the same n relabelled samples, so balancing by
+    task size would build the same buckets.
     """
     if not jobs:
         raise InvalidConfig("no jobs to allocate")
@@ -94,38 +94,32 @@ def allocate(jobs: list[TrainingJob], pool: PoolConfig) -> list[list[TrainingJob
 
 
 def _run_job_list(jobs: list[TrainingJob]):
-    """Run a bucket's jobs into one JobOutcome each, in group order.
+    """Run a bucket's jobs into one JobOutcome each, in job order.
 
     Never raises, so one failure cannot sink a batch: a job's exception
-    is kept in its outcome. Jobs that share a topology and a sample count
-    form a group, in order of first appearance, and each group trains in
-    lockstep through train_group. Each job gets a share of its group's
+    is kept in its outcome. The bucket's jobs share a topology and a
+    sample count (run_pool checks), so they train as one lockstep stack
+    through a single train_group call. Each job gets a share of the
     elapsed time, in proportion to the epochs it ran, so a bucket's
     compute times sum to its real compute time.
     """
-    groups: dict[tuple[Topology, int], list[TrainingJob]] = {}
-    for job in jobs:
-        groups.setdefault((job.topology, len(job.task)), []).append(job)
-
+    started = time.perf_counter()
+    try:
+        trained = train_group(jobs[0].topology, [job.task for job in jobs],
+                              [job.config for job in jobs])
+    except Exception as exc:    # captured per job, reported in outcome
+        trained = [exc] * len(jobs)
+    elapsed = time.perf_counter() - started
+    epochs = [_epochs_spent(result) for result in trained]
+    total = sum(epochs)
     outcomes = []
-    for (topology, _), group in groups.items():
-        started = time.perf_counter()
-        try:
-            trained = train_group(topology, [job.task for job in group],
-                                  [job.config for job in group])
-        except Exception as exc:    # captured per job, reported in outcome
-            trained = [exc] * len(group)
-        elapsed = time.perf_counter() - started
-        epochs = [_epochs_spent(result) for result in trained]
-        total = sum(epochs)
-        for job, result, spent in zip(group, trained, epochs):
-            share = spent / total if total else 1.0 / len(group)
-            if isinstance(result, Exception):
-                model, err = None, result
-            else:
-                model, err = ClassModel(job.class_id, *result), None
-            outcomes.append(JobOutcome(job.class_id, model, err,
-                                       elapsed * share))
+    for job, result, spent in zip(jobs, trained, epochs):
+        share = spent / total if total else 1.0 / len(jobs)
+        if isinstance(result, Exception):
+            model, err = None, result
+        else:
+            model, err = ClassModel(job.class_id, *result), None
+        outcomes.append(JobOutcome(job.class_id, model, err, elapsed * share))
     return outcomes
 
 
@@ -143,16 +137,19 @@ def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
 
     Worker count never changes the trained weights, only the wall time:
     jobs share no state, each is deterministic, and a job's arithmetic is
-    the same whichever lockstep group it trains in. A job that raises is
-    reported in its outcome; the remaining jobs, those of its own group
-    included, still complete. An empty job list is an InvalidConfig at
-    every worker count.
+    the same whichever stack it trains in. A job that raises is reported
+    in its outcome; the remaining jobs, those of its own stack included,
+    still complete. An empty job list, duplicate class ids, or jobs that
+    differ in topology or sample count are an InvalidConfig at every
+    worker count, before any training.
     """
     if not jobs:
         raise InvalidConfig("no jobs to run")
     ids = [j.class_id for j in jobs]
     if len(set(ids)) != len(ids):
         raise InvalidConfig(f"duplicate class ids in job list: {ids}")
+    if len({(j.topology, len(j.task)) for j in jobs}) > 1:
+        raise InvalidConfig("jobs must share one topology and sample count")
 
     if pool.workers == 1:
         outcomes = _run_job_list(jobs)

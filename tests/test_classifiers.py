@@ -140,13 +140,6 @@ def test_train_ocon_needs_two_classes():
         train_ocon(labeled([([0.0, 0.0], 1)]), config=TrainingConfig())
 
 
-def test_train_ocon_max_negatives_caps_tasks():
-    samples = labeled([([float(i), 0.0], 1 + i % 3) for i in range(30)])
-    cfg = TrainingConfig(goal=0.5, max_epochs=1, seed=0)
-    ensemble = train_ocon(samples, 3, cfg, max_negatives=5)
-    assert ensemble.class_ids == [1, 2, 3]
-
-
 def test_train_acon_learns_separable_data():
     samples = separable_two_class()
     cfg = TrainingConfig(learning_rate=0.5, momentum=0.9, goal=1e-3,

@@ -186,9 +186,6 @@ def test_invalid_learning_rate_is_config_error(tmp_path):
 
 # Each case is a flag, its value and any flags the case needs beside it.
 BAD_TRAIN_FLAGS = [("--hidden", "0"), ("--downsample", "0"),
-                   ("--max-negatives", "0"), ("--max-negatives", "-1"),
-                   ("--max-negatives", "0", "--mode", "acon"),
-                   ("--max-negatives", "5", "--mode", "acon"),
                    ("--components", "0"), ("--workers", "0"),
                    ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
                    ("--momentum", "1"), ("--goal", "nan"),

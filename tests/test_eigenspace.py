@@ -178,6 +178,17 @@ def test_fingerprint_names_the_training_matrix_and_m():
     assert space.fingerprint != fingerprint(vecs, 5)
 
 
+def test_expected_fingerprint_defaults_to_the_requested_m():
+    # m = 50 asks for more components than 10 vectors give (9 kept); the
+    # space still expects the m it was asked for.
+    vecs = training_vectors(10, 24, seed=8)
+    space = compute_eigenspace(vecs, m=50)
+    assert space.components == 9
+    assert space.expected_fingerprint(vecs) == space.fingerprint
+    assert space.expected_fingerprint(vecs, 9) == fingerprint(vecs, 9)
+    assert space.expected_fingerprint(vecs[1:]) == fingerprint(vecs[1:], 50)
+
+
 def test_fingerprint_rejects_vectors_of_unequal_length():
     with pytest.raises(DimensionMismatch):
         fingerprint([np.zeros(4), np.zeros(5)], 1)

@@ -107,10 +107,15 @@ def test_run_pool_parallel_equals_sequential():
         assert a.model.trace.mse_history == b.model.trace.mse_history
 
 
+def diverging_task(class_id):
+    """A task of sample_task's size whose squared error is non-finite on
+    the first update."""
+    return [(x, 1e160) for x, _ in sample_task(class_id)]
+
+
 def test_run_pool_isolates_failures():
     jobs = make_jobs(3)
-    # non-finite squared error on the first update
-    jobs[1] = TrainingJob(2, [(np.zeros(2), 1e160)], TOPO, CFG)
+    jobs[1] = TrainingJob(2, diverging_task(2), TOPO, CFG)
     outcomes = run_pool(jobs, PoolConfig(workers=1))
     assert outcomes[0].model is not None
     assert outcomes[2].model is not None
@@ -121,7 +126,7 @@ def test_run_pool_isolates_failures():
 
 def test_run_pool_failure_capture_crosses_processes():
     jobs = make_jobs(2)
-    jobs[0] = TrainingJob(1, [(np.zeros(2), 1e160)], TOPO, CFG)
+    jobs[0] = TrainingJob(1, diverging_task(1), TOPO, CFG)
     outcomes = run_pool(jobs, PoolConfig(workers=2))
     assert outcomes[0].model is None
     assert isinstance(outcomes[0].exception, Diverged)
@@ -185,14 +190,11 @@ def same_models(a, b) -> bool:
 
 
 @settings(max_examples=8, deadline=None)
-@given(classes=st.integers(2, 7),
-       max_negatives=st.sampled_from([None, 3]),
-       seed=st.integers(0, 1000))
-@example(classes=5, max_negatives=3, seed=0)
-def test_ocon_weights_identical_across_worker_counts(
-        classes, max_negatives, seed):
-    # Classes hold 2, 3 or 4 samples; capping negatives then gives tasks
-    # of several sizes, so a bucket holds more than one lockstep group.
+@given(classes=st.integers(2, 7), seed=st.integers(0, 1000))
+@example(classes=5, seed=0)
+def test_ocon_weights_identical_across_worker_counts(classes, seed):
+    # Classes hold 2, 3 or 4 samples, but every class's task holds all
+    # of them, so one worker trains every net in a single stack.
     rng = np.random.default_rng(seed)
     samples = [(rng.normal(size=3), cid) for cid in range(1, classes + 1)
                for _ in range(2 + cid % 3)]
@@ -200,8 +202,7 @@ def test_ocon_weights_identical_across_worker_counts(
                             max_epochs=150, seed=seed)
 
     def trained(workers):
-        return train_ocon(samples, 4, config, PoolConfig(workers),
-                          max_negatives)
+        return train_ocon(samples, 4, config, PoolConfig(workers))
 
     groups = []
     real_train_group = parallel.train_group
@@ -215,9 +216,7 @@ def test_ocon_weights_identical_across_worker_counts(
         single = trained(1)
     finally:
         parallel.train_group = real_train_group
-    assert sum(groups) == classes
-    if max_negatives is not None and classes >= 3:
-        assert len(groups) > 1
+    assert groups == [classes]
 
     for workers in (2, 3):
         for a, b in zip(single.models, trained(workers).models):
@@ -245,6 +244,24 @@ def test_failures_stay_isolated_inside_a_lockstep_group(workers):
         alone = ClassModel(job.class_id, weights, trace)
         assert same_models(outcome.model, alone)
     assert all(o.compute_seconds > 0 for o in outcomes if o.class_id != 4)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("odd_job", [
+    TrainingJob(3, sample_task(3), Topology((2, 4, 1)), CFG),
+    TrainingJob(3, sample_task(3, n=4), TOPO, CFG),
+], ids=["hidden-width", "sample-count"])
+def test_run_pool_rejects_mixed_jobs_before_training(monkeypatch, workers,
+                                                     odd_job):
+    # A bucket trains as one stack at its first job's topology, so a mixed
+    # list would train some nets at the wrong width, or give weights that
+    # depend on how the workers split the jobs.
+    calls = []
+    monkeypatch.setattr(parallel, "train_group",
+                        lambda *args: calls.append(args))
+    with pytest.raises(InvalidConfig):
+        run_pool(make_jobs(2) + [odd_job], PoolConfig(workers=workers))
+    assert not calls
 
 
 def test_run_pool_rejects_duplicate_ids():
