@@ -48,19 +48,16 @@ class OconEnsemble:
         return [m.class_id for m in self.models]
 
 
-def build_ocon_task(class_id: int, train_samples) -> list[tuple[np.ndarray, float]]:
-    """Relabel a multi-class training set for one class's subnet.
-
-    Samples of class_id become target 1.0, everything else 0.0. Input
-    order is preserved.
+def build_ocon_task(class_id: int, train_samples) -> np.ndarray:
+    """One class's subnet targets: the training set relabelled as an (n, 1)
+    column in sample order, 1.0 for class_id's samples and 0.0 for the rest.
     """
-    task = [(f, 1.0 if cid == class_id else 0.0) for f, cid in train_samples]
-    n_pos = sum(1 for _, t in task if t == 1.0)
-    if n_pos == 0:
+    targets = np.array([[float(cid == class_id)] for _, cid in train_samples])
+    if not targets.any():
         raise EmptyClass(f"no training samples for class {class_id}")
-    if n_pos == len(task):
+    if targets.all():
         raise NoCounterexamples(f"no negatives available for class {class_id}")
-    return task
+    return targets
 
 
 def build_acon_task(train_samples):
@@ -86,16 +83,19 @@ def build_ocon_jobs(train_samples, hidden: int,
                     config: TrainingConfig) -> list[TrainingJob]:
     """One pool job per class, in class_id order.
 
-    Each job trains a (feature dim, hidden, 1) net on its class's
-    relabelled task, all n training samples, with the config's seed
-    offset by class_id so the subnets start from distinct weights.
+    Each job trains a (feature dim, hidden, 1) net against its class's
+    targets on the (n, feature dim) training matrix that all jobs share,
+    seeded config.seed + class_id so the subnets start from distinct weights.
     """
     class_ids = sorted({cid for _, cid in train_samples})
     if len(class_ids) < 2:
         raise InsufficientClasses(f"need >= 2 classes, got {class_ids}")
-    topology = Topology((len(train_samples[0][0]), hidden, 1))
-    return [TrainingJob(cid, build_ocon_task(cid, train_samples), topology,
-                        replace(config, seed=config.seed + cid))
+    if len({np.shape(f) for f, _ in train_samples}) > 1:
+        raise DimensionMismatch("feature vectors differ in length")
+    inputs = np.array([f for f, _ in train_samples], dtype=np.float64)
+    topology = Topology((inputs.shape[1], hidden, 1))
+    return [TrainingJob(cid, inputs, build_ocon_task(cid, train_samples),
+                        topology, replace(config, seed=config.seed + cid))
             for cid in class_ids]
 
 

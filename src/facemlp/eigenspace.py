@@ -78,11 +78,14 @@ def eig_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fingerprint(train_vectors, m: int) -> str:
     """Identify an eigenspace build: the CRC32 of the float64 training
     matrix, one row per vector, and the requested m."""
-    vectors = [np.asarray(v) for v in train_vectors]
-    if len({v.shape for v in vectors}) > 1:
+    return f"{zlib.crc32(_matrix(train_vectors)):08x}:{m}"
+
+
+def _matrix(train_vectors) -> np.ndarray:
+    """The vectors as the rows of one C-ordered float64 matrix."""
+    if len({np.shape(v) for v in train_vectors}) > 1:
         raise DimensionMismatch("training vectors differ in length")
-    data = np.ascontiguousarray(np.vstack(vectors), dtype=np.float64)
-    return f"{zlib.crc32(data):08x}:{m}"
+    return np.ascontiguousarray(train_vectors, dtype=np.float64)
 
 
 def compute_eigenspace(train_vectors: list[np.ndarray] | np.ndarray,
@@ -95,14 +98,13 @@ def compute_eigenspace(train_vectors: list[np.ndarray] | np.ndarray,
     negligible (<= 1e-12). Each basis vector is flipped so its
     largest-magnitude entry is positive, making runs comparable.
     """
-    vectors = [np.asarray(v, dtype=np.float64) for v in train_vectors]
-    if len(vectors) < 2:
+    if len(train_vectors) < 2:
         raise InsufficientData("need at least 2 training vectors")
     if m < 1:
         raise InvalidConfig("m must be >= 1")
-    built_from = fingerprint(vectors, m)    # rejects unequal lengths
+    data = _matrix(train_vectors)       # (n, d); rejects unequal lengths
+    built_from = fingerprint(data, m)   # reads data in place
 
-    data = np.vstack(vectors)           # (n, d)
     n, d = data.shape
     mean = data.mean(axis=0)
     centered = data - mean              # rows are centered vectors

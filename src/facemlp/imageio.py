@@ -109,8 +109,8 @@ def parse_pgm(data: bytes) -> GrayImage:
     """Parse a PGM image from raw bytes.
 
     Accepts binary P5 and ASCII P2, maxval up to 255, with `#` comments in
-    the header. For P5 the payload is read verbatim after the single
-    whitespace byte that follows maxval.
+    the header. maxval must be followed by one whitespace byte; for P5 the
+    payload is read verbatim after it. A sample above maxval is rejected.
     """
     if not data.startswith((b"P5", b"P2")):
         raise UnsupportedFormat("not a P5/P2 PGM stream")
@@ -128,6 +128,8 @@ def parse_pgm(data: bytes) -> GrayImage:
         raise UnsupportedDepth(f"maxval {maxval} exceeds 8-bit range")
     if maxval < 1:
         raise UnsupportedFormat("maxval must be at least 1")
+    if not data[end : end + 1].isspace():
+        raise UnsupportedFormat("maxval is not followed by one whitespace byte")
 
     count = width * height
     if magic == b"P5":
@@ -156,6 +158,8 @@ def parse_pgm(data: bytes) -> GrayImage:
         if arr.max() > 255:
             raise UnsupportedDepth("ASCII sample exceeds 8-bit range")
         pixels = arr.astype(np.uint8)
+    if pixels.max() > maxval:
+        raise UnsupportedFormat(f"sample {pixels.max()} exceeds maxval {maxval}")
     return GrayImage(width, height, pixels)
 
 

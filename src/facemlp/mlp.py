@@ -6,10 +6,10 @@ full batch plus a momentum term, so a run is fully determined by the
 topology, the batch, and the config (including its seed).
 
 Training has one epoch kernel, _Stack, which trains several nets of one
-topology and sample count in lockstep: each net's parameters are one row
-of a flat buffer, and the work arrays are allocated once per stack size,
-so an epoch costs one round of in-place NumPy calls for the whole stack
-instead of one per net. Every slice of the stack runs the same IEEE
+topology on one input matrix in lockstep: each net's parameters are one
+row of a flat buffer, and the work arrays are allocated once per stack
+size, so an epoch costs one round of in-place NumPy calls for the whole
+stack instead of one per net. Every slice of the stack runs the same IEEE
 operations in the same order as a net trained alone, so a net's weights
 and MSE history never depend on its group. train_group drives it, train
 is the group of one, and gradients is one backprop of a stack of one.
@@ -237,13 +237,13 @@ def _unflat(layers, slot: int) -> Weights:
 
 
 class _Stack:
-    """k nets of one topology in lockstep, each on its own n samples.
+    """k nets of one topology in lockstep on one (n, fan_in) input matrix.
 
     params holds one net per row in _flat's layout, as do the momentum
-    steps and the gradients; the layer matrices are views into them. x is
-    (k, n, fan_in), a broadcast view when the nets share their inputs, and
-    t is (k, n, out). Work arrays are allocated once per stack size. Slice
-    j of every operation is the IEEE arithmetic of net j computed alone.
+    steps and the gradients; the layer matrices are views into them. All
+    nets read x, the (n, fan_in) inputs, which matmul broadcasts; t is
+    (k, n, out). Work arrays are allocated once per stack size. Slice j of
+    every operation is the IEEE arithmetic of net j computed alone.
     Run under np.errstate(over="ignore"): exp overflows on a saturated
     unit, and a diverging net's squared error overflows to inf.
     """
@@ -267,11 +267,7 @@ class _Stack:
 
     def keep(self, slots: list[int]) -> None:
         """Drop every net whose slot is not listed; the rest carry on."""
-        x = self.acts[0]
-        # Shared inputs, a zero net stride, stay one broadcast view.
-        x = (np.broadcast_to(x[0], (len(slots), *x.shape[1:]))
-             if x.strides[0] == 0 else x[slots])
-        self.acts = [x, *(a[slots] for a in self.acts[1:])]
+        self.acts[1:] = [a[slots] for a in self.acts[1:]]
         self.params, self.steps, self.t, self.residual = (
             a[slots] for a in (self.params, self.steps, self.t, self.residual))
         self._allocate()
@@ -327,7 +323,7 @@ def gradients(weights: Weights,
     """
     sizes = weights.layer_sizes
     x, t = _stack_batch(batch, sizes[0], sizes[-1])
-    stack = _Stack(sizes, _flat(weights)[None], x[None], t[None])
+    stack = _Stack(sizes, _flat(weights)[None], x, t[None])
     with np.errstate(over="ignore"):
         stack.forward()
         stack.backprop()
@@ -345,57 +341,56 @@ def train(topology: Topology, batch, config: TrainingConfig) -> tuple[Weights, T
     Raises Diverged (with the epoch number) if the MSE stops being finite.
     This is train_group with a group of one.
     """
-    (result,) = train_group(topology, [batch], [config])
+    x, t = _stack_batch(batch, topology.input_size, topology.output_size)
+    (result,) = train_group(topology, x, [t], [config])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def train_group(topology: Topology, batches: list, configs: list[TrainingConfig]
-                ) -> list[tuple[Weights, TrainingTrace] | Exception]:
-    """Train one fresh network per (batch, config) pair, all in lockstep.
+def train_group(topology: Topology, inputs: np.ndarray, targets: list,
+                configs: list) -> list[tuple[Weights, TrainingTrace] | Exception]:
+    """Train one fresh network per (targets, config) pair, all in lockstep.
 
-    The nets share the topology and the sample count; each has its own
-    batch, seed, learning rate, momentum, goal and max_epochs. Each net's
-    parameters are one row of a flat buffer, and nets with equal inputs
-    share one copy of them, so an epoch is one stacked forward pass,
-    backprop and four-call momentum step for every net still training, into
-    arrays allocated once per stack size. A net leaves the stack at the
-    epoch it meets its goal, diverges or reaches its max_epochs. Each net's
-    arithmetic is exactly what train would do for it alone, so its weights
-    and mse_history do not depend on which other nets share the group.
+    Every net reads inputs, one (n, input size) float64 array, against its
+    own (n, output size) targets, seed, learning rate, momentum, goal and
+    max_epochs. Its parameters are one row of a flat buffer, so an epoch is
+    one stacked forward pass, backprop and four-call momentum step for
+    every net still training, into arrays allocated once per stack size. A
+    net leaves the stack at the epoch it meets its goal, diverges or
+    reaches its max_epochs. Each net's arithmetic is exactly what train
+    would do for it alone, so its weights and mse_history do not depend on
+    which other nets share the group.
 
     Returns one entry per net, in order: (weights, trace), or the exception
-    that net raised (DimensionMismatch, ValueError or TypeError for a bad
-    batch, Diverged for a non-finite MSE). Raises InvalidConfig if the
-    batches differ in sample count. A trace's wall_time is the net's share
-    of the group's training time, in proportion to its epochs, so the
-    shares of a group sum to its elapsed time.
+    that net raised (DimensionMismatch, ValueError or TypeError for bad
+    targets, Diverged for a non-finite MSE). Raises InvalidConfig if the
+    target sets and configs differ in count. A trace's wall_time is the
+    net's share of the group's training time, in proportion to its epochs,
+    so the shares of a group sum to its elapsed time.
     """
-    if len(batches) != len(configs):
-        raise InvalidConfig(f"{len(batches)} batches for {len(configs)} configs")
-    if len({len(batch) for batch in batches}) > 1:
-        raise InvalidConfig("nets trained in lockstep must share a sample count")
-    results: list = [None] * len(batches)
-    members, xs, ts = [], [], []
-    for i, batch in enumerate(batches):
+    if len(targets) != len(configs):
+        raise InvalidConfig(f"{len(targets)} target sets for {len(configs)} configs")
+    wanted = (len(inputs), topology.output_size)
+    results: list = [None] * len(targets)
+    members, ts = [], []
+    for i, t in enumerate(targets):
         try:
-            x, t = _stack_batch(batch, topology.input_size, topology.output_size)
+            t = np.asarray(t, dtype=np.float64)
+            if t.shape != wanted:
+                raise DimensionMismatch(f"target shape {t.shape}, expected {wanted}")
         except (TypeError, ValueError, DimensionMismatch) as exc:
             results[i] = exc
             continue
         members.append(i)
-        xs.append(x)
         ts.append(t)
     if not members:
         return results
 
     started = time.perf_counter()
-    shared = all(np.array_equal(xs[0], x) for x in xs[1:])
-    x = np.broadcast_to(xs[0], (len(xs), *xs[0].shape)) if shared else np.stack(xs)
     params = np.stack([_flat(init_weights(topology, configs[i].seed))
                        for i in members])
-    stack = _Stack(topology.layer_sizes, params, x, np.stack(ts))
+    stack = _Stack(topology.layer_sizes, params, inputs, np.stack(ts))
     rate = np.array([configs[i].learning_rate for i in members])[:, None]
     momentum = np.array([configs[i].momentum for i in members])[:, None]
 

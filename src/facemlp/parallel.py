@@ -3,7 +3,7 @@
 The pool is a set of local worker processes standing in for the separate
 machines a networked deployment would use: jobs are independent, training
 is seed-deterministic, so the outcome is bit-identical however the jobs
-are spread. The jobs share one topology and one sample count, so each
+are spread. The jobs share one topology and one input matrix, so each
 worker's jobs train as one lockstep stack (mlp.train_group), sharing
 NumPy's per-call overhead without changing any net's arithmetic:
 processes split the classes, lockstep speeds up each process.
@@ -45,13 +45,16 @@ ACON_FILENAME = "acon.wts"
 
 @dataclass(eq=False)
 class TrainingJob:
+    """A class's 0/1 target column over inputs, its run's shared matrix."""
+
     class_id: int
-    task: list
+    inputs: np.ndarray
+    targets: np.ndarray
     topology: Topology
     config: TrainingConfig
 
     def __post_init__(self):
-        if not self.task:
+        if not len(self.inputs):
             raise InvalidConfig(f"job for class {self.class_id} has no samples")
 
 
@@ -82,8 +85,7 @@ class JobOutcome:
 def allocate(jobs: list[TrainingJob], pool: PoolConfig) -> list[list[TrainingJob]]:
     """Split jobs across workers round robin: job i goes to worker i mod W.
 
-    OCON tasks all hold the same n relabelled samples, so balancing by
-    task size would build the same buckets.
+    Every job trains on the same inputs, so there is no task size to balance.
     """
     if not jobs:
         raise InvalidConfig("no jobs to allocate")
@@ -97,16 +99,16 @@ def _run_job_list(jobs: list[TrainingJob]):
     """Run a bucket's jobs into one JobOutcome each, in job order.
 
     Never raises, so one failure cannot sink a batch: a job's exception
-    is kept in its outcome. The bucket's jobs share a topology and a
-    sample count (run_pool checks), so they train as one lockstep stack
+    is kept in its outcome. The bucket's jobs share a topology and an
+    input matrix (run_pool checks), so they train as one lockstep stack
     through a single train_group call. Each job gets a share of the
     elapsed time, in proportion to the epochs it ran, so a bucket's
     compute times sum to its real compute time.
     """
     started = time.perf_counter()
     try:
-        trained = train_group(jobs[0].topology, [job.task for job in jobs],
-                              [job.config for job in jobs])
+        trained = train_group(jobs[0].topology, jobs[0].inputs,
+                              [j.targets for j in jobs], [j.config for j in jobs])
     except Exception as exc:    # captured per job, reported in outcome
         trained = [exc] * len(jobs)
     elapsed = time.perf_counter() - started
@@ -140,7 +142,7 @@ def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
     the same whichever stack it trains in. A job that raises is reported
     in its outcome; the remaining jobs, those of its own stack included,
     still complete. An empty job list, duplicate class ids, or jobs that
-    differ in topology or sample count are an InvalidConfig at every
+    differ in topology or input matrix are an InvalidConfig at every
     worker count, before any training.
     """
     if not jobs:
@@ -148,8 +150,8 @@ def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
     ids = [j.class_id for j in jobs]
     if len(set(ids)) != len(ids):
         raise InvalidConfig(f"duplicate class ids in job list: {ids}")
-    if len({(j.topology, len(j.task)) for j in jobs}) > 1:
-        raise InvalidConfig("jobs must share one topology and sample count")
+    if len({(j.topology, id(j.inputs)) for j in jobs}) > 1:
+        raise InvalidConfig("jobs must share one topology and input matrix")
 
     if pool.workers == 1:
         outcomes = _run_job_list(jobs)

@@ -95,7 +95,8 @@ def experiment():
     config = TrainingConfig(learning_rate=0.05, momentum=0.9, goal=1e-3,
                             max_epochs=20000, seed=2)
     topology = Topology((40, 20, 1))
-    jobs = [TrainingJob(cid, build_ocon_task(cid, ftrain), topology,
+    inputs = np.array([f for f, _ in ftrain])
+    jobs = [TrainingJob(cid, inputs, build_ocon_task(cid, ftrain), topology,
                         replace(config, seed=config.seed + cid))
             for cid in range(1, 11)]
     outcomes = run_pool(jobs, PoolConfig(workers=1))

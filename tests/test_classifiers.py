@@ -8,6 +8,7 @@ from facemlp.classifiers import (
     ClassModel,
     OconEnsemble,
     build_acon_task,
+    build_ocon_jobs,
     build_ocon_task,
     classify_acon,
     classify_ocon,
@@ -38,16 +39,15 @@ def keyed_subnet(class_id, dim, key_gain=50.0):
 def test_build_ocon_task_relabels_in_order():
     samples = labeled([([0.0], 1), ([1.0], 1), ([2.0], 2),
                        ([3.0], 2), ([4.0], 2)])
-    task = build_ocon_task(1, samples)
-    assert [t for _, t in task] == [1.0, 1.0, 0.0, 0.0, 0.0]
-    assert [f[0] for f, _ in task] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    targets = build_ocon_task(1, samples)
+    assert targets.shape == (5, 1)
+    assert targets[:, 0].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def test_build_ocon_task_full_scale_counts():
     samples = labeled([([float(c)], c) for c in range(1, 11)
                        for _ in range(20)])
-    task = build_ocon_task(7, samples)
-    targets = [t for _, t in task]
+    targets = build_ocon_task(7, samples)[:, 0].tolist()
     assert targets.count(1.0) == 20
     assert targets.count(0.0) == 180
 
@@ -67,10 +67,23 @@ def test_build_ocon_target_multiset(class_ids):
         return
     samples = labeled([([float(i)], c) for i, c in enumerate(class_ids)])
     for cid in set(class_ids):
-        task = build_ocon_task(cid, samples)
-        targets = [t for _, t in task]
+        targets = build_ocon_task(cid, samples)[:, 0].tolist()
         assert targets.count(1.0) == class_ids.count(cid)
         assert targets.count(0.0) == len(class_ids) - class_ids.count(cid)
+
+
+def test_build_ocon_jobs_share_one_input_matrix():
+    samples = labeled([([0.0, 1.0], 2), ([2.0, 3.0], 1), ([4.0, 5.0], 3),
+                       ([6.0, 7.0], 1)])
+    jobs = build_ocon_jobs(samples, 3, TrainingConfig(seed=5))
+    assert [j.class_id for j in jobs] == [1, 2, 3]
+    assert [j.config.seed for j in jobs] == [6, 7, 8]
+    np.testing.assert_array_equal(jobs[0].inputs, [f for f, _ in samples])
+    for job in jobs:
+        assert job.inputs is jobs[0].inputs
+        assert job.topology.layer_sizes == (2, 3, 1)
+        relabelled = [[1.0 if c == job.class_id else 0.0] for _, c in samples]
+        assert job.targets.tolist() == relabelled
 
 
 def test_build_acon_task_one_hot():
@@ -138,6 +151,12 @@ def test_train_ocon_is_deterministic():
 def test_train_ocon_needs_two_classes():
     with pytest.raises(InsufficientClasses):
         train_ocon(labeled([([0.0, 0.0], 1)]), config=TrainingConfig())
+
+
+def test_train_ocon_rejects_features_of_unequal_length():
+    samples = labeled([([0.0, 0.0], 1), ([1.0, 1.0], 2), ([1.0], 2)])
+    with pytest.raises(DimensionMismatch):
+        train_ocon(samples, config=TrainingConfig())
 
 
 def test_train_acon_learns_separable_data():

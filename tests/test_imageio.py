@@ -66,6 +66,22 @@ def test_low_maxval_accepted():
     assert list(parse_pgm(data).pixels) == [0, 100]
 
 
+@pytest.mark.parametrize("data", [
+    b"P5\n2 1\n15\n" + bytes([200, 3]),
+    b"P2\n2 1\n15\n200 3",
+], ids=["P5", "P2"])
+def test_sample_above_maxval_rejected(data):
+    with pytest.raises(UnsupportedFormat):
+        parse_pgm(data)
+
+
+def test_maxval_must_end_in_one_whitespace_byte():
+    # Read from just past "255", this P5 payload would start inside the
+    # comment and parse as [99, 10] ("c", "\n").
+    with pytest.raises(UnsupportedFormat):
+        parse_pgm(b"P5\n2 1\n255#c\n" + bytes([1, 2]))
+
+
 def test_bad_magic_rejected():
     with pytest.raises(UnsupportedFormat):
         parse_pgm(b"P6\n1 1\n255\n\x00")

@@ -25,6 +25,8 @@ XOR = [
     (np.array([1.0, 0.0]), [1.0]),
     (np.array([1.0, 1.0]), [0.0]),
 ]
+XOR_X = np.array([x for x, _ in XOR])
+XOR_T = np.array([t for _, t in XOR])
 
 
 def test_topology_validation():
@@ -281,17 +283,14 @@ def test_train_group_matches_reference_loop(data):
     k = data.draw(st.integers(1, 6))
     n = data.draw(st.integers(1, 8))
     diverging = data.draw(st.none() | st.integers(0, k - 1))
-    shared_inputs = data.draw(st.booleans())
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     xs = rng.normal(size=(n, sizes[0]))
-    batches, configs = [], []
+    targets, configs = [], []
     for j in range(k):
-        if not shared_inputs:
-            xs = rng.normal(size=(n, sizes[0]))
-        batch = [(x, rng.uniform(size=sizes[-1])) for x in xs]
+        t = rng.uniform(size=(n, sizes[-1]))
         if j == diverging:
-            batch[-1] = (batch[-1][0], np.full(sizes[-1], 1e160))
-        batches.append(batch)
+            t[-1] = 1e160
+        targets.append(t)
         configs.append(TrainingConfig(
             learning_rate=data.draw(st.floats(0.01, 2.0)),
             momentum=data.draw(st.floats(0.0, 0.95)),
@@ -299,11 +298,12 @@ def test_train_group_matches_reference_loop(data):
             max_epochs=data.draw(st.integers(1, 300)),
             seed=data.draw(st.integers(0, 2**20))))
 
-    results = train_group(topology, batches, configs)
+    results = train_group(topology, xs, targets, configs)
     assert len(results) == k
-    for batch, config, result in zip(batches, configs, results):
+    for t, config, result in zip(targets, configs, results):
         try:
-            weights, history, met = reference_train(topology, batch, config)
+            weights, history, met = reference_train(topology, list(zip(xs, t)),
+                                                    config)
         except Diverged as exc:
             assert isinstance(result, Diverged)
             assert result.epoch == exc.epoch
@@ -329,12 +329,13 @@ def test_train_group_matches_reference_at_benchmark_widths(sizes, k):
         targets = [labels[:, None] == np.arange(sizes[-1])]
     else:
         targets = [labels[:, None] == j for j in range(k)]
-    batches = [list(zip(x, t.astype(float))) for t in targets]
+    targets = [t.astype(float) for t in targets]
     configs = [TrainingConfig(goal=1e-9, max_epochs=20, seed=j)
                for j in range(k)]
-    results = train_group(Topology(sizes), batches, configs)
-    for batch, config, (weights, trace) in zip(batches, configs, results):
-        ref, history, _ = reference_train(Topology(sizes), batch, config)
+    results = train_group(Topology(sizes), x, targets, configs)
+    for t, config, (weights, trace) in zip(targets, configs, results):
+        ref, history, _ = reference_train(Topology(sizes), list(zip(x, t)),
+                                          config)
         assert_same_weights(weights, ref)
         assert trace.mse_history == history
 
@@ -349,14 +350,13 @@ def test_gradients_match_reference():
 
 
 def test_train_group_isolates_bad_batches():
-    good = XOR
-    short = [(np.zeros(3), [0.0])] * 4      # wrong input width
+    wide = np.zeros((4, 2))                 # wrong target width
     cfg = TrainingConfig(learning_rate=0.5, goal=1e-2, max_epochs=300, seed=1)
-    results = train_group(Topology((2, 4, 1)), [good, short, good],
+    results = train_group(Topology((2, 4, 1)), XOR_X, [XOR_T, wide, XOR_T],
                           [cfg, cfg, replace(cfg, seed=2)])
     assert isinstance(results[1], DimensionMismatch)
     weights, trace = results[0]
-    alone, alone_trace = train(Topology((2, 4, 1)), good, cfg)
+    alone, alone_trace = train(Topology((2, 4, 1)), XOR, cfg)
     assert_same_weights(weights, alone)
     assert trace.mse_history == alone_trace.mse_history
     assert results[2][1].epochs_run > 0
@@ -365,7 +365,7 @@ def test_train_group_isolates_bad_batches():
 def test_train_group_wall_time_shared_by_epochs():
     cfgs = [TrainingConfig(learning_rate=0.5, goal=1e-9, max_epochs=e,
                            seed=0) for e in (10, 40, 25)]
-    results = train_group(Topology((2, 3, 1)), [XOR] * 3, cfgs)
+    results = train_group(Topology((2, 3, 1)), XOR_X, [XOR_T] * 3, cfgs)
     rates = [t.wall_time / t.epochs_run for _, t in results]
     assert [t.epochs_run for _, t in results] == [10, 40, 25]
     assert rates[0] > 0
@@ -373,8 +373,11 @@ def test_train_group_wall_time_shared_by_epochs():
 
 
 def test_train_group_rejects_mixed_sample_counts():
+    # Targets for another sample count fail only their own net; a missing
+    # config fails the group.
     cfg = TrainingConfig(max_epochs=5)
+    ok, short = train_group(Topology((2, 3, 1)), XOR_X, [XOR_T, XOR_T[:3]],
+                            [cfg, cfg])
+    assert ok[1].epochs_run == 5 and isinstance(short, DimensionMismatch)
     with pytest.raises(InvalidConfig):
-        train_group(Topology((2, 3, 1)), [XOR, XOR[:3]], [cfg, cfg])
-    with pytest.raises(InvalidConfig):
-        train_group(Topology((2, 3, 1)), [XOR], [cfg, cfg])
+        train_group(Topology((2, 3, 1)), XOR_X, [XOR_T], [cfg, cfg])

@@ -38,13 +38,16 @@ CFG = TrainingConfig(learning_rate=0.3, momentum=0.8, goal=1e-2,
                      max_epochs=400, seed=0)
 
 
-def sample_task(class_id, n=6):
-    rng = np.random.default_rng(class_id)
-    return [(rng.uniform(-1, 1, 2), float(i % 2)) for i in range(n)]
+# Every job of a run trains on this one input matrix.
+INPUTS = np.random.default_rng(0).uniform(-1, 1, (6, 2))
+
+
+def sample_targets(class_id):
+    return np.random.default_rng(class_id).integers(0, 2, (6, 1)) * 1.0
 
 
 def make_jobs(count):
-    return [TrainingJob(i, sample_task(i), TOPO, CFG)
+    return [TrainingJob(i, INPUTS, sample_targets(i), TOPO, CFG)
             for i in range(1, count + 1)]
 
 
@@ -107,15 +110,13 @@ def test_run_pool_parallel_equals_sequential():
         assert a.model.trace.mse_history == b.model.trace.mse_history
 
 
-def diverging_task(class_id):
-    """A task of sample_task's size whose squared error is non-finite on
-    the first update."""
-    return [(x, 1e160) for x, _ in sample_task(class_id)]
+# Targets whose squared error is non-finite on the first update.
+DIVERGING = np.full((6, 1), 1e160)
 
 
 def test_run_pool_isolates_failures():
     jobs = make_jobs(3)
-    jobs[1] = TrainingJob(2, diverging_task(2), TOPO, CFG)
+    jobs[1] = TrainingJob(2, INPUTS, DIVERGING, TOPO, CFG)
     outcomes = run_pool(jobs, PoolConfig(workers=1))
     assert outcomes[0].model is not None
     assert outcomes[2].model is not None
@@ -126,7 +127,7 @@ def test_run_pool_isolates_failures():
 
 def test_run_pool_failure_capture_crosses_processes():
     jobs = make_jobs(2)
-    jobs[0] = TrainingJob(1, diverging_task(1), TOPO, CFG)
+    jobs[0] = TrainingJob(1, INPUTS, DIVERGING, TOPO, CFG)
     outcomes = run_pool(jobs, PoolConfig(workers=2))
     assert outcomes[0].model is None
     assert isinstance(outcomes[0].exception, Diverged)
@@ -193,7 +194,7 @@ def same_models(a, b) -> bool:
 @given(classes=st.integers(2, 7), seed=st.integers(0, 1000))
 @example(classes=5, seed=0)
 def test_ocon_weights_identical_across_worker_counts(classes, seed):
-    # Classes hold 2, 3 or 4 samples, but every class's task holds all
+    # Classes hold 2, 3 or 4 samples, but every class's job trains on all
     # of them, so one worker trains every net in a single stack.
     rng = np.random.default_rng(seed)
     samples = [(rng.normal(size=3), cid) for cid in range(1, classes + 1)
@@ -207,9 +208,9 @@ def test_ocon_weights_identical_across_worker_counts(classes, seed):
     groups = []
     real_train_group = parallel.train_group
 
-    def counting_train_group(topology, batches, configs):
-        groups.append(len(batches))
-        return real_train_group(topology, batches, configs)
+    def counting_train_group(topology, inputs, targets, configs):
+        groups.append(len(targets))
+        return real_train_group(topology, inputs, targets, configs)
 
     parallel.train_group = counting_train_group
     try:
@@ -227,11 +228,11 @@ def test_ocon_weights_identical_across_worker_counts(classes, seed):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failures_stay_isolated_inside_a_lockstep_group(workers):
     # Round robin over 2 workers puts jobs 1 and 3 in one bucket, so the
-    # diverging job 3 and the bad-width job 4 share groups with good jobs
+    # diverging job 3 and the bad-target job 4 share groups with good jobs
     # at either worker count.
     jobs = make_jobs(5)
-    jobs[2] = TrainingJob(3, [(np.zeros(2), 1e160)] * 6, TOPO, CFG)
-    jobs[3] = TrainingJob(4, [(np.zeros(3), 0.0)] * 6, TOPO, CFG)
+    jobs[2] = TrainingJob(3, INPUTS, DIVERGING, TOPO, CFG)
+    jobs[3] = TrainingJob(4, INPUTS, np.zeros((6, 2)), TOPO, CFG)
     outcomes = run_pool(jobs, PoolConfig(workers=workers))
     assert isinstance(outcomes[2].exception, Diverged)
     assert outcomes[2].exception.epoch == 1
@@ -240,7 +241,8 @@ def test_failures_stay_isolated_inside_a_lockstep_group(workers):
         if job.class_id in (3, 4):
             assert outcome.model is None
             continue
-        weights, trace = train(job.topology, job.task, job.config)
+        weights, trace = train(job.topology, list(zip(job.inputs, job.targets)),
+                               job.config)
         alone = ClassModel(job.class_id, weights, trace)
         assert same_models(outcome.model, alone)
     assert all(o.compute_seconds > 0 for o in outcomes if o.class_id != 4)
@@ -248,14 +250,17 @@ def test_failures_stay_isolated_inside_a_lockstep_group(workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("odd_job", [
-    TrainingJob(3, sample_task(3), Topology((2, 4, 1)), CFG),
-    TrainingJob(3, sample_task(3, n=4), TOPO, CFG),
-], ids=["hidden-width", "sample-count"])
+    TrainingJob(3, INPUTS, sample_targets(3), Topology((2, 4, 1)), CFG),
+    TrainingJob(3, INPUTS[:4], sample_targets(3)[:4], TOPO, CFG),
+    TrainingJob(3, INPUTS.copy(), sample_targets(3), TOPO, CFG),
+], ids=["hidden-width", "sample-count", "inputs"])
 def test_run_pool_rejects_mixed_jobs_before_training(monkeypatch, workers,
                                                      odd_job):
-    # A bucket trains as one stack at its first job's topology, so a mixed
-    # list would train some nets at the wrong width, or give weights that
-    # depend on how the workers split the jobs.
+    # A bucket trains as one stack at its first job's topology and on its
+    # first job's inputs, so a mixed list would train some nets at the
+    # wrong width or on another job's inputs, or give weights that depend
+    # on how the workers split the jobs. Equal values in another array are
+    # still another input matrix.
     calls = []
     monkeypatch.setattr(parallel, "train_group",
                         lambda *args: calls.append(args))
@@ -265,15 +270,15 @@ def test_run_pool_rejects_mixed_jobs_before_training(monkeypatch, workers,
 
 
 def test_run_pool_rejects_duplicate_ids():
-    jobs = [TrainingJob(1, sample_task(1), TOPO, CFG),
-            TrainingJob(1, sample_task(2), TOPO, CFG)]
+    jobs = [TrainingJob(1, INPUTS, sample_targets(1), TOPO, CFG),
+            TrainingJob(1, INPUTS, sample_targets(2), TOPO, CFG)]
     with pytest.raises(InvalidConfig):
         run_pool(jobs, PoolConfig())
 
 
 def test_job_requires_samples():
     with pytest.raises(InvalidConfig):
-        TrainingJob(1, [], TOPO, CFG)
+        TrainingJob(1, np.empty((0, 2)), np.empty((0, 1)), TOPO, CFG)
 
 
 def test_persist_replicates_identically(tmp_path):
