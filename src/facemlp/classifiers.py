@@ -3,8 +3,8 @@
 OCON dedicates a small binary network to each class, trained with that
 class's samples as positives (class-one) and every other class's samples
 as negatives (class-two). ACON is a single network with one output per
-class and one-hot targets. Both decide by argmax; OCON additionally
-supports thresholded per-class verification.
+class and one-hot targets. Both train on one (n, feature dim) matrix and
+decide by argmax; OCON additionally supports thresholded verification.
 """
 
 from __future__ import annotations
@@ -48,35 +48,27 @@ class OconEnsemble:
         return [m.class_id for m in self.models]
 
 
-def build_ocon_task(class_id: int, train_samples) -> np.ndarray:
-    """One class's subnet targets: the training set relabelled as an (n, 1)
-    column in sample order, 1.0 for class_id's samples and 0.0 for the rest.
+def _stacked(train_samples) -> tuple[np.ndarray, np.ndarray, list]:
+    """The pairs as (n, d) float64 inputs, row labels and sorted class ids."""
+    class_ids = sorted({cid for _, cid in train_samples})
+    if len(class_ids) < 2:
+        raise InsufficientClasses(f"need >= 2 classes, got {class_ids}")
+    if len({np.shape(f) for f, _ in train_samples}) > 1:
+        raise DimensionMismatch("feature vectors differ in length")
+    inputs = np.array([f for f, _ in train_samples], dtype=np.float64)
+    return inputs, np.array([cid for _, cid in train_samples]), class_ids
+
+
+def build_ocon_task(class_id: int, labels: np.ndarray) -> np.ndarray:
+    """One class's subnet targets: the training set's row labels as an
+    (n, 1) column, 1.0 for class_id's rows and 0.0 for the rest.
     """
-    targets = np.array([[float(cid == class_id)] for _, cid in train_samples])
+    targets = (labels == class_id)[:, None].astype(np.float64)
     if not targets.any():
         raise EmptyClass(f"no training samples for class {class_id}")
     if targets.all():
         raise NoCounterexamples(f"no negatives available for class {class_id}")
     return targets
-
-
-def build_acon_task(train_samples):
-    """One-hot targets over the sorted class set.
-
-    Returns (task, class_ids) so callers know which output index belongs
-    to which class.
-    """
-    class_ids = sorted({cid for _, cid in train_samples})
-    if len(class_ids) < 2:
-        raise InsufficientClasses(f"need >= 2 classes, got {class_ids}")
-    index = {cid: i for i, cid in enumerate(class_ids)}
-    k = len(class_ids)
-    task = []
-    for f, cid in train_samples:
-        target = np.zeros(k)
-        target[index[cid]] = 1.0
-        task.append((f, target))
-    return task, class_ids
 
 
 def build_ocon_jobs(train_samples, hidden: int,
@@ -87,14 +79,9 @@ def build_ocon_jobs(train_samples, hidden: int,
     targets on the (n, feature dim) training matrix that all jobs share,
     seeded config.seed + class_id so the subnets start from distinct weights.
     """
-    class_ids = sorted({cid for _, cid in train_samples})
-    if len(class_ids) < 2:
-        raise InsufficientClasses(f"need >= 2 classes, got {class_ids}")
-    if len({np.shape(f) for f, _ in train_samples}) > 1:
-        raise DimensionMismatch("feature vectors differ in length")
-    inputs = np.array([f for f, _ in train_samples], dtype=np.float64)
+    inputs, labels, class_ids = _stacked(train_samples)
     topology = Topology((inputs.shape[1], hidden, 1))
-    return [TrainingJob(cid, inputs, build_ocon_task(cid, train_samples),
+    return [TrainingJob(cid, inputs, build_ocon_task(cid, labels),
                         topology, replace(config, seed=config.seed + cid))
             for cid in class_ids]
 
@@ -118,11 +105,13 @@ def train_ocon(train_samples, hidden: int = OCON_HIDDEN,
 
 def train_acon(train_samples, hidden: int = ACON_HIDDEN,
                config: TrainingConfig | None = None) -> AconModel:
-    """Train the single (feature dim, hidden, class count) network."""
-    config = config or TrainingConfig()
-    task, class_ids = build_acon_task(train_samples)
-    topology = Topology((len(train_samples[0][0]), hidden, len(class_ids)))
-    return AconModel(tuple(class_ids), *train(topology, task, config))
+    """Train the single (feature dim, hidden, class count) network on
+    OCON's training matrix, against one-hot targets in class_id order."""
+    inputs, labels, class_ids = _stacked(train_samples)
+    targets = (labels[:, None] == class_ids).astype(np.float64)
+    topology = Topology((inputs.shape[1], hidden, len(class_ids)))
+    return AconModel(tuple(class_ids),
+                     *train(topology, inputs, targets, config or TrainingConfig()))
 
 
 def _argmax_lowest(class_ids, scores: np.ndarray) -> int:

@@ -74,6 +74,14 @@ def _load_vectors(data: str, factor: int):
     return split["train"], split["test"]
 
 
+def _check_positive(args, *flags) -> None:
+    """Reject a flag below 1 before any file is read, whatever the data."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise InvalidConfig(f"--{flag} must be >= 1, got {value}")
+
+
 def _warn(message) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -133,6 +141,7 @@ def cmd_train(args) -> int:
                             goal=args.goal, max_epochs=args.max_epochs,
                             seed=args.seed)
     pool = PoolConfig(workers=args.workers)
+    _check_positive(args, "hidden", "components", "downsample")
     train_pairs, _ = _load_vectors(args.data, args.downsample)
     train_vectors = [v for v, _ in train_pairs]
     space = _stored_eigenspace(store, train_vectors, args.components) \
@@ -143,12 +152,11 @@ def cmd_train(args) -> int:
 
     # Each net is (label, model or None, exception); ACON's is a list of one.
     if args.mode == "acon":
-        hidden = ACON_HIDDEN if args.hidden is None else args.hidden
         save = parallel.persist_acon
-        nets = [("acon", train_acon(features, hidden, config), None)]
+        nets = [("acon", train_acon(features, args.hidden or ACON_HIDDEN,
+                                    config), None)]
     else:
-        hidden = OCON_HIDDEN if args.hidden is None else args.hidden
-        jobs = build_ocon_jobs(features, hidden, config)
+        jobs = build_ocon_jobs(features, args.hidden or OCON_HIDDEN, config)
         save = parallel.persist
         nets = [(f"class {o.class_id}", o.model, o.exception)
                 for o in parallel.run_pool(jobs, pool)]
@@ -179,14 +187,15 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     store = _resolve_store(args.store)
+    protocol = evaluator.Protocol(n_pos=args.n_pos, n_neg=args.n_neg,
+                                  threshold=args.threshold,
+                                  seed=args.protocol_seed)
+    _check_positive(args, "downsample")
     train_pairs, test_pairs = _load_vectors(args.data, args.downsample)
     space = _stored_eigenspace(store, [v for v, _ in train_pairs])
     if space is None:
         raise StoreError(f"no valid {EIGENSPACE_FILENAME} in any store root")
     test_features = [(project(space, v), c) for v, c in test_pairs]
-    protocol = evaluator.Protocol(n_pos=args.n_pos, n_neg=args.n_neg,
-                                  threshold=args.threshold,
-                                  seed=args.protocol_seed)
 
     if args.mode == "acon":
         models = parallel.load_acon(store, _skipped)

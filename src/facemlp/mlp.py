@@ -1,8 +1,9 @@
 """Feed-forward sigmoid network trained by batch gradient descent.
 
 All units are logistic, targets are 0/1 encoded, and the loss is the mean
-squared error over every output component of every sample. Updates use the
-full batch plus a momentum term, so a run is fully determined by the
+squared error over every output component of every sample. A batch is an
+(n, input size) input matrix and its (n, output size) targets. Updates use
+the full batch plus a momentum term, so a run is fully determined by the
 topology, the batch, and the config (including its seed).
 
 Training has one epoch kernel, _Stack, which trains several nets of one
@@ -197,20 +198,17 @@ def forward(weights: Weights, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return a, acts
 
 
-def _stack_batch(batch, in_size: int, out_size: int) -> tuple[np.ndarray, np.ndarray]:
-    if not batch:
+def _batch(inputs, targets, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """float64 (n, input size) inputs and (n, output size) targets, n >= 1."""
+    x = np.asarray(inputs, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != sizes[0]:
+        raise DimensionMismatch(f"inputs shape {x.shape}, expected (n, {sizes[0]})")
+    if not len(x):
         raise ValueError("batch is empty")
-    xs, ts = [], []
-    for x, t in batch:
-        x = np.asarray(x, dtype=np.float64)
-        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if x.shape != (in_size,):
-            raise DimensionMismatch(f"sample shape {x.shape}, expected ({in_size},)")
-        if t.shape != (out_size,):
-            raise DimensionMismatch(f"target shape {t.shape}, expected ({out_size},)")
-        xs.append(x)
-        ts.append(t)
-    return np.vstack(xs), np.vstack(ts)
+    if t.shape != (len(x), sizes[-1]):
+        raise DimensionMismatch(f"targets shape {t.shape}, expected (n, {sizes[-1]})")
+    return x, t
 
 
 def _flat(weights: Weights) -> np.ndarray:
@@ -314,15 +312,15 @@ class _Stack:
         self.params += self.steps
 
 
-def gradients(weights: Weights,
-              batch: list[tuple[np.ndarray, np.ndarray]]) -> Weights:
-    """Gradient of the batch MSE with respect to every weight and bias.
+def gradients(weights: Weights, inputs: np.ndarray, targets: np.ndarray) -> Weights:
+    """Gradient of the MSE of the (n, input size) inputs against their
+    (n, output size) targets with respect to every weight and bias.
 
     The result reuses the Weights container, holding d(loss)/dW and
     d(loss)/db in place of the parameters.
     """
     sizes = weights.layer_sizes
-    x, t = _stack_batch(batch, sizes[0], sizes[-1])
+    x, t = _batch(inputs, targets, sizes)
     stack = _Stack(sizes, _flat(weights)[None], x, t[None])
     with np.errstate(over="ignore"):
         stack.forward()
@@ -330,8 +328,10 @@ def gradients(weights: Weights,
     return _unflat(stack.grad_layers, 0)
 
 
-def train(topology: Topology, batch, config: TrainingConfig) -> tuple[Weights, TrainingTrace]:
-    """Train a fresh network on the batch.
+def train(topology: Topology, inputs: np.ndarray, targets: np.ndarray,
+          config: TrainingConfig) -> tuple[Weights, TrainingTrace]:
+    """Train a fresh network on an (n, input size) input matrix against
+    the (n, output size) target matrix, row for row.
 
     Weights start from init_weights(topology, config.seed). Every epoch
     applies one momentum update from the full-batch gradient, then measures
@@ -341,7 +341,7 @@ def train(topology: Topology, batch, config: TrainingConfig) -> tuple[Weights, T
     Raises Diverged (with the epoch number) if the MSE stops being finite.
     This is train_group with a group of one.
     """
-    x, t = _stack_batch(batch, topology.input_size, topology.output_size)
+    x, t = _batch(inputs, targets, topology.layer_sizes)
     (result,) = train_group(topology, x, [t], [config])
     if isinstance(result, Exception):
         raise result

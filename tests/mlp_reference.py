@@ -2,8 +2,8 @@
 
 This is the per-net loop facemlp.mlp.train ran before nets were trained
 in stacks: plain 2-D arrays, one net per call, every step written out.
-The lockstep trainer must reproduce it bit for bit, so it is kept here
-unchanged rather than imported from the package.
+The lockstep trainer must reproduce it bit for bit, so its arithmetic is
+kept here unchanged rather than imported from the package.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ from facemlp.mlp import Topology, TrainingConfig, Weights, init_weights
 def _sigmoid(z):
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-z))
-
-
-def _stack_batch(batch, in_size, out_size):
-    xs = [np.asarray(x, dtype=np.float64) for x, _ in batch]
-    ts = [np.atleast_1d(np.asarray(t, dtype=np.float64)) for _, t in batch]
-    assert all(x.shape == (in_size,) for x in xs)
-    assert all(t.shape == (out_size,) for t in ts)
-    return np.vstack(xs), np.vstack(ts)
 
 
 def _forward_batch(weights, x):
@@ -52,13 +44,14 @@ def _backprop(weights, acts, targets):
     return grads_w, grads_b
 
 
-def reference_train(topology: Topology, batch, config: TrainingConfig
+def reference_train(topology: Topology, x, t, config: TrainingConfig
                     ) -> tuple[Weights, list[float], bool]:
-    """Train one net; returns (weights, mse_history, goal_met).
+    """Train one net on the (n, in) inputs x against the (n, out) targets
+    t; returns (weights, mse_history, goal_met).
 
     Raises Diverged at the first epoch whose MSE is not finite.
     """
-    x, t = _stack_batch(batch, topology.input_size, topology.output_size)
+    x, t = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)
     weights = init_weights(topology, config.seed)
     step_w = [np.zeros_like(w) for w in weights.weights]
     step_b = [np.zeros_like(b) for b in weights.biases]
@@ -85,8 +78,6 @@ def reference_train(topology: Topology, batch, config: TrainingConfig
     return weights, history, met
 
 
-def reference_gradients(weights: Weights, batch) -> Weights:
-    sizes = weights.layer_sizes
-    x, t = _stack_batch(batch, sizes[0], sizes[-1])
+def reference_gradients(weights: Weights, x, t) -> Weights:
     gw, gb = _backprop(weights, _forward_batch(weights, x), t)
     return Weights(gw, gb)

@@ -96,7 +96,8 @@ def experiment():
                             max_epochs=20000, seed=2)
     topology = Topology((40, 20, 1))
     inputs = np.array([f for f, _ in ftrain])
-    jobs = [TrainingJob(cid, inputs, build_ocon_task(cid, ftrain), topology,
+    labels = np.array([c for _, c in ftrain])
+    jobs = [TrainingJob(cid, inputs, build_ocon_task(cid, labels), topology,
                         replace(config, seed=config.seed + cid))
             for cid in range(1, 11)]
     outcomes = run_pool(jobs, PoolConfig(workers=1))
@@ -148,7 +149,8 @@ def test_criterion_2_gradient_correctness():
                           rng.uniform(0.05, 0.95, size=sizes[-1]))
                          for _ in range(3)]
                 targets = np.vstack([t for _, t in batch])
-                analytic = gradients(w, batch)
+                analytic = gradients(w, np.array([x for x, _ in batch]),
+                                     targets)
 
                 def loss():
                     outs = np.vstack([forward(w, x)[0] for x, _ in batch])

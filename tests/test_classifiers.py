@@ -7,7 +7,6 @@ from facemlp.classifiers import (
     AconModel,
     ClassModel,
     OconEnsemble,
-    build_acon_task,
     build_ocon_jobs,
     build_ocon_task,
     classify_acon,
@@ -22,7 +21,7 @@ from facemlp.errors import (
     InsufficientClasses,
     NoCounterexamples,
 )
-from facemlp.mlp import TrainingConfig, Weights, forward
+from facemlp.mlp import Topology, TrainingConfig, Weights, forward, train
 
 
 def labeled(vec_class_pairs):
@@ -37,27 +36,23 @@ def keyed_subnet(class_id, dim, key_gain=50.0):
 
 
 def test_build_ocon_task_relabels_in_order():
-    samples = labeled([([0.0], 1), ([1.0], 1), ([2.0], 2),
-                       ([3.0], 2), ([4.0], 2)])
-    targets = build_ocon_task(1, samples)
+    targets = build_ocon_task(1, np.array([1, 1, 2, 2, 2]))
     assert targets.shape == (5, 1)
     assert targets[:, 0].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def test_build_ocon_task_full_scale_counts():
-    samples = labeled([([float(c)], c) for c in range(1, 11)
-                       for _ in range(20)])
-    targets = build_ocon_task(7, samples)[:, 0].tolist()
+    labels = np.array([c for c in range(1, 11) for _ in range(20)])
+    targets = build_ocon_task(7, labels)[:, 0].tolist()
     assert targets.count(1.0) == 20
     assert targets.count(0.0) == 180
 
 
 def test_build_ocon_task_errors():
-    samples = labeled([([0.0], 1), ([1.0], 2)])
     with pytest.raises(EmptyClass):
-        build_ocon_task(3, samples)
+        build_ocon_task(3, np.array([1, 2]))
     with pytest.raises(NoCounterexamples):
-        build_ocon_task(1, labeled([([0.0], 1), ([1.0], 1)]))
+        build_ocon_task(1, np.array([1, 1]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -65,9 +60,8 @@ def test_build_ocon_task_errors():
 def test_build_ocon_target_multiset(class_ids):
     if len(set(class_ids)) < 2:
         return
-    samples = labeled([([float(i)], c) for i, c in enumerate(class_ids)])
     for cid in set(class_ids):
-        targets = build_ocon_task(cid, samples)[:, 0].tolist()
+        targets = build_ocon_task(cid, np.array(class_ids))[:, 0].tolist()
         assert targets.count(1.0) == class_ids.count(cid)
         assert targets.count(0.0) == len(class_ids) - class_ids.count(cid)
 
@@ -86,24 +80,37 @@ def test_build_ocon_jobs_share_one_input_matrix():
         assert job.targets.tolist() == relabelled
 
 
+# The ACON task (one-hot targets over the sorted class ids) is built inside
+# train_acon, so these check it through the model train_acon returns.
 def test_build_acon_task_one_hot():
-    samples = labeled([([0.0], 1), ([1.0], 2), ([2.0], 3)])
-    task, class_ids = build_acon_task(samples)
-    assert class_ids == [1, 2, 3]
-    np.testing.assert_array_equal(task[1][1], [0.0, 1.0, 0.0])
-    for _, target in task:
-        assert target.sum() == 1.0
+    inputs = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, -1.0], [0.5, 0.5]])
+    samples = labeled(zip(inputs, [9, 2, 5, 2]))
+    one_hot = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                        [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    cfg = TrainingConfig(goal=1e-9, max_epochs=30, seed=3)
+    model = train_acon(samples, 4, cfg)
+    weights, trace = train(Topology((2, 4, 3)), inputs, one_hot, cfg)
+    for got, want in zip(model.weights.weights + model.weights.biases,
+                         weights.weights + weights.biases):
+        assert got.tobytes() == want.tobytes()
+    assert model.trace.mse_history == trace.mse_history
 
 
 def test_build_acon_task_sorted_ids():
     samples = labeled([([0.0], 9), ([1.0], 2), ([2.0], 5)])
-    _, class_ids = build_acon_task(samples)
-    assert class_ids == [2, 5, 9]
+    cfg = TrainingConfig(max_epochs=1, seed=0)
+    assert train_acon(samples, 2, cfg).class_ids == (2, 5, 9)
 
 
-def test_build_acon_task_needs_two_classes():
+def test_train_acon_needs_two_classes():
     with pytest.raises(InsufficientClasses):
-        build_acon_task(labeled([([0.0], 1), ([1.0], 1)]))
+        train_acon(labeled([([0.0], 1), ([1.0], 1)]), config=TrainingConfig())
+
+
+def test_train_acon_rejects_features_of_unequal_length():
+    samples = labeled([([0.0, 0.0], 1), ([1.0, 1.0], 2), ([1.0], 2)])
+    with pytest.raises(DimensionMismatch):
+        train_acon(samples, config=TrainingConfig())
 
 
 def separable_two_class(per_class=6, dim=4, seed=0):

@@ -192,7 +192,7 @@ BAD_TRAIN_FLAGS = [("--hidden", "0"), ("--downsample", "0"),
                    ("--goal", "inf")]
 BAD_EVALUATE_FLAGS = [("--n-pos", "-1"), ("--n-neg", "-1"), ("--n-pos", "0"),
                       ("--threshold", "nan"), ("--threshold", "1.5"),
-                      ("--threshold", "-1")]
+                      ("--threshold", "-1"), ("--downsample", "0")]
 BAD_FLAGS = ([("train", *f) for f in BAD_TRAIN_FLAGS]
              + [("evaluate", *f) for f in BAD_EVALUATE_FLAGS])
 
@@ -212,6 +212,19 @@ def test_out_of_range_flag_is_config_error(trained, tmp_path, capsys, case):
     assert "error:" in err and "Traceback" not in err
     assert not list(tmp_path.rglob("*.wts"))
     assert not list(tmp_path.rglob("eigenspace.txt"))
+
+
+@pytest.mark.parametrize("case", BAD_FLAGS, ids="-".join)
+def test_out_of_range_flag_is_config_error_without_data(tmp_path, capsys,
+                                                        case):
+    # A bad flag is reported before any file is read, so a missing --data
+    # cannot turn it into a fatal error.
+    command, flag, value, *extra = case
+    code = main([command, "--data", str(tmp_path / "missing"), "--store",
+                 store_arg(tmp_path), flag, value, *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_rejected_train_does_not_pin_the_store(tmp_path, capsys):

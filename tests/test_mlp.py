@@ -19,14 +19,8 @@ from facemlp.mlp import (
 )
 from mlp_reference import reference_gradients, reference_train
 
-XOR = [
-    (np.array([0.0, 0.0]), [0.0]),
-    (np.array([0.0, 1.0]), [1.0]),
-    (np.array([1.0, 0.0]), [1.0]),
-    (np.array([1.0, 1.0]), [0.0]),
-]
-XOR_X = np.array([x for x, _ in XOR])
-XOR_T = np.array([t for _, t in XOR])
+XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+XOR_T = np.array([[0.0], [1.0], [1.0], [0.0]])
 
 
 def test_topology_validation():
@@ -128,9 +122,8 @@ def test_forward_outputs_in_open_interval(seed, scale):
 
 def test_gradients_zero_at_fit():
     w = init_weights(Topology((2, 3, 1)), seed=5)
-    xs = [np.array([0.1, 0.9]), np.array([-1.0, 0.4])]
-    batch = [(x, forward(w, x)[0]) for x in xs]
-    g = gradients(w, batch)
+    xs = np.array([[0.1, 0.9], [-1.0, 0.4]])
+    g = gradients(w, xs, np.array([forward(w, x)[0] for x in xs]))
     for arr in g.weights + g.biases:
         np.testing.assert_allclose(arr, 0.0, atol=1e-15)
 
@@ -138,11 +131,11 @@ def test_gradients_zero_at_fit():
 def test_gradients_are_batch_means():
     rng = np.random.default_rng(8)
     w = init_weights(Topology((3, 4, 1)), seed=2)
-    s1 = (rng.normal(size=3), [1.0])
-    s2 = (rng.normal(size=3), [0.0])
-    g_both = gradients(w, [s1, s2])
-    g1 = gradients(w, [s1])
-    g2 = gradients(w, [s2])
+    x = np.array([rng.normal(size=3), rng.normal(size=3)])
+    t = np.array([[1.0], [0.0]])
+    g_both = gradients(w, x, t)
+    g1 = gradients(w, x[:1], t[:1])
+    g2 = gradients(w, x[1:], t[1:])
     for both, a, b in zip(g_both.weights, g1.weights, g2.weights):
         np.testing.assert_allclose(both, (a + b) / 2.0, rtol=1e-12)
 
@@ -152,11 +145,12 @@ def test_gradients_match_finite_differences():
     topo = Topology((2, 2, 1))
     w = init_weights(topo, seed=1)
     batch = [(rng.normal(size=2), [rng.uniform()]) for _ in range(3)]
-    g = gradients(w, batch)
+    inputs = np.array([x for x, _ in batch])
     targets = np.vstack([t for _, t in batch])
+    g = gradients(w, inputs, targets)
 
     def loss():
-        outs = np.vstack([forward(w, x)[0] for x, _ in batch])
+        outs = np.vstack([forward(w, x)[0] for x in inputs])
         return np.mean((outs - targets) ** 2)
 
     h = 1e-5
@@ -176,13 +170,13 @@ def test_gradients_match_finite_differences():
 def test_gradients_dimension_check():
     w = init_weights(Topology((2, 2, 1)), seed=0)
     with pytest.raises(DimensionMismatch):
-        gradients(w, [(np.zeros(3), [0.0])])
+        gradients(w, np.zeros((1, 3)), np.zeros((1, 1)))
     with pytest.raises(DimensionMismatch):
-        gradients(w, [(np.zeros(2), [0.0, 1.0])])
+        gradients(w, np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 def test_train_stops_immediately_on_loose_goal():
-    w, trace = train(Topology((2, 4, 1)), XOR,
+    w, trace = train(Topology((2, 4, 1)), XOR_X, XOR_T,
                      TrainingConfig(goal=10.0, max_epochs=50, seed=0))
     assert trace.epochs_run == 1
     assert trace.goal_met
@@ -192,11 +186,11 @@ def test_train_stops_immediately_on_loose_goal():
 def test_train_solves_xor():
     cfg = TrainingConfig(learning_rate=0.5, momentum=0.9, goal=1e-3,
                          max_epochs=20000, seed=1)
-    w, trace = train(Topology((2, 4, 1)), XOR, cfg)
+    w, trace = train(Topology((2, 4, 1)), XOR_X, XOR_T, cfg)
     assert trace.goal_met
     assert trace.final_mse < 1e-3
     assert trace.epochs_run <= 20000
-    for x, t in XOR:
+    for x, t in zip(XOR_X, XOR_T):
         out, _ = forward(w, x)
         assert round(out[0]) == t[0]
 
@@ -204,7 +198,7 @@ def test_train_solves_xor():
 def test_train_trace_bookkeeping():
     cfg = TrainingConfig(learning_rate=0.2, momentum=0.5, goal=1e-9,
                          max_epochs=40, seed=0)
-    _, trace = train(Topology((2, 3, 1)), XOR, cfg)
+    _, trace = train(Topology((2, 3, 1)), XOR_X, XOR_T, cfg)
     assert not trace.goal_met
     assert trace.epochs_run == 40
     assert len(trace.mse_history) == 40
@@ -218,8 +212,7 @@ def test_train_accepts_full_scale_config():
     # a single-layer net on a zero input emits exactly sigma(0) = 0.5, so
     # the gradient for target 0.5 is zero and the first epoch meets the
     # default goal without moving a weight
-    batch = [(np.zeros(2), [0.5])]
-    _, trace = train(Topology((2, 1)), batch, cfg)
+    _, trace = train(Topology((2, 1)), np.zeros((1, 2)), [[0.5]], cfg)
     assert trace.goal_met
     assert trace.epochs_run == 1
     assert trace.final_mse == 0.0
@@ -228,8 +221,8 @@ def test_train_accepts_full_scale_config():
 def test_train_is_deterministic():
     cfg = TrainingConfig(learning_rate=0.5, momentum=0.9, goal=1e-3,
                          max_epochs=2000, seed=4)
-    w1, t1 = train(Topology((2, 4, 1)), XOR, cfg)
-    w2, t2 = train(Topology((2, 4, 1)), XOR, cfg)
+    w1, t1 = train(Topology((2, 4, 1)), XOR_X, XOR_T, cfg)
+    w2, t2 = train(Topology((2, 4, 1)), XOR_X, XOR_T, cfg)
     for a, b in zip(w1.weights + w1.biases, w2.weights + w2.biases):
         assert np.array_equal(a, b)
     assert t1.mse_history == t2.mse_history
@@ -238,27 +231,28 @@ def test_train_is_deterministic():
 def test_single_small_step_descends():
     rng = np.random.default_rng(10)
     topo = Topology((3, 5, 1))
-    batch = [(rng.normal(size=3), [float(i % 2)]) for i in range(6)]
+    x = np.array([rng.normal(size=3) for _ in range(6)])
+    t = (np.arange(6) % 2.0)[:, None]
     before_w = init_weights(topo, seed=6)
-    outs = np.vstack([forward(before_w, x)[0] for x, _ in batch])
-    before = np.mean((outs - np.vstack([t for _, t in batch])) ** 2)
+    outs = np.vstack([forward(before_w, row)[0] for row in x])
+    before = np.mean((outs - t) ** 2)
     cfg = TrainingConfig(learning_rate=1e-4, momentum=0.0, goal=1e-12,
                          max_epochs=1, seed=6)
-    _, trace = train(topo, batch, cfg)
+    _, trace = train(topo, x, t, cfg)
     assert trace.mse_history[0] < before
 
 
 def test_train_reports_divergence():
-    batch = [(np.zeros(2), [1e160])]
     with pytest.raises(Diverged) as err:
-        train(Topology((2, 2, 1)), batch,
+        train(Topology((2, 2, 1)), np.zeros((1, 2)), [[1e160]],
               TrainingConfig(max_epochs=10, seed=0))
     assert err.value.epoch == 1
 
 
 def test_train_empty_batch():
     with pytest.raises(ValueError):
-        train(Topology((2, 2, 1)), [], TrainingConfig())
+        train(Topology((2, 2, 1)), np.empty((0, 2)), np.empty((0, 1)),
+              TrainingConfig())
 
 
 def test_weights_copy_is_independent():
@@ -302,8 +296,7 @@ def test_train_group_matches_reference_loop(data):
     assert len(results) == k
     for t, config, result in zip(targets, configs, results):
         try:
-            weights, history, met = reference_train(topology, list(zip(xs, t)),
-                                                    config)
+            weights, history, met = reference_train(topology, xs, t, config)
         except Diverged as exc:
             assert isinstance(result, Diverged)
             assert result.epoch == exc.epoch
@@ -316,15 +309,16 @@ def test_train_group_matches_reference_loop(data):
         assert trace.goal_met == met
 
 
-@pytest.mark.parametrize("sizes,k", [((20, 60, 10), 1), ((40, 20, 1), 4)],
-                         ids=["desk-acon", "orl-ocon"])
+@pytest.mark.parametrize("sizes,k", [((20, 60, 10), 1), ((40, 20, 1), 4),
+                                     ((40, 60, 40), 1), ((20, 20, 1), 5)],
+                         ids=["desk-acon", "orl-ocon", "orl-acon", "desk-ocon"])
 def test_train_group_matches_reference_at_benchmark_widths(sizes, k):
     # The drawn widths above are so small that a product evaluated in
     # another order may still round the same; these are the benchmark's
     # ACON and OCON shapes, 200 samples each, where it does not.
     rng = np.random.default_rng(5)
     x = rng.normal(size=(200, sizes[0]))
-    labels = np.arange(200) % 10
+    labels = np.arange(200) % max(sizes[-1], 10)
     if sizes[-1] > 1:
         targets = [labels[:, None] == np.arange(sizes[-1])]
     else:
@@ -334,8 +328,7 @@ def test_train_group_matches_reference_at_benchmark_widths(sizes, k):
                for j in range(k)]
     results = train_group(Topology(sizes), x, targets, configs)
     for t, config, (weights, trace) in zip(targets, configs, results):
-        ref, history, _ = reference_train(Topology(sizes), list(zip(x, t)),
-                                          config)
+        ref, history, _ = reference_train(Topology(sizes), x, t, config)
         assert_same_weights(weights, ref)
         assert trace.mse_history == history
 
@@ -346,7 +339,9 @@ def test_gradients_match_reference():
         w = init_weights(Topology(sizes), seed=4)
         batch = [(rng.normal(size=sizes[0]), rng.uniform(size=sizes[-1]))
                  for _ in range(7)]
-        assert_same_weights(gradients(w, batch), reference_gradients(w, batch))
+        x = np.array([x for x, _ in batch])
+        t = np.array([t for _, t in batch])
+        assert_same_weights(gradients(w, x, t), reference_gradients(w, x, t))
 
 
 def test_train_group_isolates_bad_batches():
@@ -356,7 +351,7 @@ def test_train_group_isolates_bad_batches():
                           [cfg, cfg, replace(cfg, seed=2)])
     assert isinstance(results[1], DimensionMismatch)
     weights, trace = results[0]
-    alone, alone_trace = train(Topology((2, 4, 1)), XOR, cfg)
+    alone, alone_trace = train(Topology((2, 4, 1)), XOR_X, XOR_T, cfg)
     assert_same_weights(weights, alone)
     assert trace.mse_history == alone_trace.mse_history
     assert results[2][1].epochs_run > 0

@@ -241,7 +241,7 @@ def test_failures_stay_isolated_inside_a_lockstep_group(workers):
         if job.class_id in (3, 4):
             assert outcome.model is None
             continue
-        weights, trace = train(job.topology, list(zip(job.inputs, job.targets)),
+        weights, trace = train(job.topology, job.inputs, job.targets,
                                job.config)
         alone = ClassModel(job.class_id, weights, trace)
         assert same_models(outcome.model, alone)
