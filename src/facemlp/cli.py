@@ -82,6 +82,20 @@ def _check_positive(args, *flags) -> None:
             raise InvalidConfig(f"--{flag} must be >= 1, got {value}")
 
 
+def _from_flags(cls, args, **flags):
+    """cls built from the flag named for each field, e.g. goal="--goal".
+    Each value is checked alone first, so the InvalidConfig (whose message
+    begins with the field's name) names the flag as typed and its value."""
+    values = {f: getattr(args, flag[2:].replace("-", "_")) for f, flag in flags.items()}
+    for field, flag in flags.items():
+        try:
+            cls(**{field: values[field]})
+        except InvalidConfig as exc:
+            rule = str(exc).removeprefix(field)
+            raise InvalidConfig(f"{flag}{rule}, got {values[field]}") from None
+    return cls(**values)
+
+
 def _warn(message) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -137,10 +151,10 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     store = _resolve_store(args.store)
-    config = TrainingConfig(learning_rate=args.lr, momentum=args.momentum,
-                            goal=args.goal, max_epochs=args.max_epochs,
-                            seed=args.seed)
-    pool = PoolConfig(workers=args.workers)
+    config = _from_flags(TrainingConfig, args, learning_rate="--lr",
+                         momentum="--momentum", goal="--goal",
+                         max_epochs="--max-epochs", seed="--seed")
+    pool = _from_flags(PoolConfig, args, workers="--workers")
     _check_positive(args, "hidden", "components", "downsample")
     train_pairs, _ = _load_vectors(args.data, args.downsample)
     train_vectors = [v for v, _ in train_pairs]
@@ -187,9 +201,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     store = _resolve_store(args.store)
-    protocol = evaluator.Protocol(n_pos=args.n_pos, n_neg=args.n_neg,
-                                  threshold=args.threshold,
-                                  seed=args.protocol_seed)
+    protocol = _from_flags(evaluator.Protocol, args, n_pos="--n-pos",
+                           n_neg="--n-neg", threshold="--threshold",
+                           seed="--protocol-seed")
     _check_positive(args, "downsample")
     train_pairs, test_pairs = _load_vectors(args.data, args.downsample)
     space = _stored_eigenspace(store, [v for v, _ in train_pairs])

@@ -56,14 +56,15 @@ class FormatError(FacemlpError):
 # --- network training ---
 
 class Diverged(FacemlpError):
-    """Training produced a non-finite error value."""
+    """A non-finite MSE; wall_time is the net's time share, as a trace's."""
 
-    def __init__(self, epoch: int):
+    def __init__(self, epoch: int, wall_time: float = 0.0):
         super().__init__(f"MSE became non-finite at epoch {epoch}")
         self.epoch = epoch
+        self.wall_time = wall_time
 
     def __reduce__(self):
-        return type(self), (self.epoch,)
+        return type(self), (self.epoch, self.wall_time)
 
 
 # --- classifier construction ---

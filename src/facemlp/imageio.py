@@ -109,8 +109,9 @@ def parse_pgm(data: bytes) -> GrayImage:
     """Parse a PGM image from raw bytes.
 
     Accepts binary P5 and ASCII P2, maxval up to 255, with `#` comments in
-    the header. maxval must be followed by one whitespace byte; for P5 the
-    payload is read verbatim after it. A sample above maxval is rejected.
+    the header. maxval must be followed by one whitespace byte, which
+    comments (newline included) may precede; for P5 the payload is read
+    verbatim after it. A sample above maxval is rejected.
     """
     if not data.startswith((b"P5", b"P2")):
         raise UnsupportedFormat("not a P5/P2 PGM stream")
@@ -128,6 +129,8 @@ def parse_pgm(data: bytes) -> GrayImage:
         raise UnsupportedDepth(f"maxval {maxval} exceeds 8-bit range")
     if maxval < 1:
         raise UnsupportedFormat("maxval must be at least 1")
+    while data[end : end + 1] == b"#":     # past its newline, or to the end
+        end = data.find(b"\n", end) + 1 or len(data)
     if not data[end : end + 1].isspace():
         raise UnsupportedFormat("maxval is not followed by one whitespace byte")
 

@@ -7,14 +7,15 @@ the full batch plus a momentum term, so a run is fully determined by the
 topology, the batch, and the config (including its seed).
 
 Training has one epoch kernel, _Stack, which trains several nets of one
-topology on one input matrix in lockstep: each net's parameters are one
-row of a flat buffer, and the work arrays are allocated once per stack
-size, so an epoch costs one round of in-place NumPy calls for the whole
-stack instead of one per net. Every slice of the stack runs the same IEEE
-operations in the same order as a net trained alone, so a net's weights
-and MSE history never depend on its group. train_group drives it, train
-is the group of one, and gradients is one backprop of a stack of one.
-The single-vector forward used for classification is separate.
+topology and config, differing only by seed and targets, on one input
+matrix in lockstep: each net's parameters are one row of a flat buffer,
+and the work arrays are allocated once per stack size, so an epoch costs
+one round of in-place NumPy calls for the whole stack instead of one per
+net. Every slice of the stack runs the same IEEE operations in the same
+order as a net trained alone, so a net's weights and MSE history never
+depend on its group. train_group drives it, train is the group of one,
+and gradients is one backprop of a stack of one. The single-vector
+forward used for classification is separate.
 
 ClassModel and AconModel, trained nets labelled with their classes, sit
 beside Weights so that the pool, the store codec and the classifiers all
@@ -70,10 +71,6 @@ class Weights:
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.weights[0].shape[1],
                 *(w.shape[0] for w in self.weights))
-
-    def copy(self) -> Weights:
-        return Weights([w.copy() for w in self.weights],
-                       [b.copy() for b in self.biases])
 
 
 @dataclass(frozen=True)
@@ -240,8 +237,9 @@ class _Stack:
     params holds one net per row in _flat's layout, as do the momentum
     steps and the gradients; the layer matrices are views into them. All
     nets read x, the (n, fan_in) inputs, which matmul broadcasts; t is
-    (k, n, out). Work arrays are allocated once per stack size. Slice j of
-    every operation is the IEEE arithmetic of net j computed alone.
+    (k, n, out); all nets step at one rate and momentum. Work arrays are
+    allocated once per stack size. Slice j of every operation is the IEEE
+    arithmetic of net j computed alone.
     Run under np.errstate(over="ignore"): exp overflows on a saturated
     unit, and a diverging net's squared error overflows to inf.
     """
@@ -259,9 +257,8 @@ class _Stack:
         self.grads = np.empty_like(self.params)
         self.layers = _layers(self.params, self.sizes)
         self.grad_layers = _layers(self.grads, self.sizes)
-        self.deltas, self.scratch, self.neg_bias = (
-            [np.empty((k, rows, m)) for m in self.sizes[1:]]
-            for rows in (n, n, 1))
+        self.deltas, self.scratch = (
+            [np.empty((k, n, m)) for m in self.sizes[1:]] for _ in range(2))
 
     def keep(self, slots: list[int]) -> None:
         """Drop every net whose slot is not listed; the rest carry on."""
@@ -273,12 +270,10 @@ class _Stack:
     def forward(self) -> list[float]:
         """Every layer's activations and the output residual a - t;
         returns each net's batch MSE."""
-        for (w, b), neg_b, x, z in zip(self.layers, self.neg_bias,
-                                       self.acts, self.acts[1:]):
+        for (w, b), x, z in zip(self.layers, self.acts, self.acts[1:]):
             np.matmul(x, w.transpose(0, 2, 1), out=z)
-            # (-b) - x.W^T is exactly -(x.W^T + b); a zero may change
-            # sign, which exp maps to 1 either way.
-            np.subtract(np.negative(b, out=neg_b), z, out=z)
+            z += b
+            np.negative(z, out=z)
             np.exp(z, out=z)
             z += 1.0
             np.divide(1.0, z, out=z)
@@ -304,8 +299,8 @@ class _Stack:
                 delta *= prev
                 delta *= np.subtract(1.0, prev, out=self.scratch[layer - 1])
 
-    def step(self, rate: np.ndarray, momentum: np.ndarray) -> None:
-        """One momentum update; rate and momentum are (k, 1) columns."""
+    def step(self, rate: float, momentum: float) -> None:
+        """One momentum update of every net at the stack's rate and momentum."""
         self.steps *= momentum
         self.grads *= rate
         self.steps -= self.grads
@@ -342,35 +337,37 @@ def train(topology: Topology, inputs: np.ndarray, targets: np.ndarray,
     This is train_group with a group of one.
     """
     x, t = _batch(inputs, targets, topology.layer_sizes)
-    (result,) = train_group(topology, x, [t], [config])
+    (result,) = train_group(topology, x, [t], config, [config.seed])
     if isinstance(result, Exception):
         raise result
     return result
 
 
 def train_group(topology: Topology, inputs: np.ndarray, targets: list,
-                configs: list) -> list[tuple[Weights, TrainingTrace] | Exception]:
-    """Train one fresh network per (targets, config) pair, all in lockstep.
+                config: TrainingConfig,
+                seeds: list) -> list[tuple[Weights, TrainingTrace] | Exception]:
+    """Train one fresh network per (targets, seed) pair, all in lockstep.
 
     Every net reads inputs, one (n, input size) float64 array, against its
-    own (n, output size) targets, seed, learning rate, momentum, goal and
-    max_epochs. Its parameters are one row of a flat buffer, so an epoch is
+    own (n, output size) targets from init_weights(topology, seed), at
+    config's learning rate, momentum, goal and max_epochs (its seed is
+    unused). Its parameters are one row of a flat buffer, so an epoch is
     one stacked forward pass, backprop and four-call momentum step for
     every net still training, into arrays allocated once per stack size. A
-    net leaves the stack at the epoch it meets its goal, diverges or
-    reaches its max_epochs. Each net's arithmetic is exactly what train
-    would do for it alone, so its weights and mse_history do not depend on
-    which other nets share the group.
+    net leaves the stack at the epoch it meets the goal or diverges, the
+    rest at max_epochs. Each net's arithmetic is exactly what train would
+    do for it alone with that seed, so its weights and mse_history do not
+    depend on which other nets share the group.
 
     Returns one entry per net, in order: (weights, trace), or the exception
     that net raised (DimensionMismatch, ValueError or TypeError for bad
     targets, Diverged for a non-finite MSE). Raises InvalidConfig if the
-    target sets and configs differ in count. A trace's wall_time is the
-    net's share of the group's training time, in proportion to its epochs,
-    so the shares of a group sum to its elapsed time.
+    target sets and seeds differ in count. This is the group's one clock:
+    a net's share of the training time, in proportion to its epochs, is
+    its trace's or its Diverged's wall_time, so the shares sum to it.
     """
-    if len(targets) != len(configs):
-        raise InvalidConfig(f"{len(targets)} target sets for {len(configs)} configs")
+    if len(targets) != len(seeds):
+        raise InvalidConfig(f"{len(targets)} target sets for {len(seeds)} seeds")
     wanted = (len(inputs), topology.output_size)
     results: list = [None] * len(targets)
     members, ts = [], []
@@ -388,11 +385,8 @@ def train_group(topology: Topology, inputs: np.ndarray, targets: list,
         return results
 
     started = time.perf_counter()
-    params = np.stack([_flat(init_weights(topology, configs[i].seed))
-                       for i in members])
+    params = np.stack([_flat(init_weights(topology, seeds[i])) for i in members])
     stack = _Stack(topology.layer_sizes, params, inputs, np.stack(ts))
-    rate = np.array([configs[i].learning_rate for i in members])[:, None]
-    momentum = np.array([configs[i].momentum for i in members])[:, None]
 
     active = members            # results index of each stack slot
     histories = {i: [] for i in members}
@@ -402,12 +396,11 @@ def train_group(topology: Topology, inputs: np.ndarray, targets: list,
         while active:
             epoch += 1
             stack.backprop()
-            stack.step(rate, momentum)
+            stack.step(config.learning_rate, config.momentum)
             current = stack.forward()
             keep = []
             for slot, (i, value) in enumerate(zip(active, current)):
                 histories[i].append(value)
-                config = configs[i]
                 if not math.isfinite(value):
                     results[i] = Diverged(epoch)
                 elif value < config.goal or epoch == config.max_epochs:
@@ -418,11 +411,10 @@ def train_group(topology: Topology, inputs: np.ndarray, targets: list,
             if len(keep) < len(active):
                 active = [active[slot] for slot in keep]
                 stack.keep(keep)
-                rate, momentum = rate[keep], momentum[keep]
 
     elapsed = time.perf_counter() - started
     total = sum(len(h) for h in histories.values())
     for i in members:
-        if not isinstance(results[i], Exception):
-            results[i][1].wall_time = elapsed * len(histories[i]) / total
+        timed = results[i] if isinstance(results[i], Diverged) else results[i][1]
+        timed.wall_time = elapsed * len(histories[i]) / total
     return results

@@ -3,7 +3,7 @@
 The pool is a set of local worker processes standing in for the separate
 machines a networked deployment would use: jobs are independent, training
 is seed-deterministic, so the outcome is bit-identical however the jobs
-are spread. The jobs share one topology and one input matrix, so each
+are spread. The jobs differ only in class, targets and seed, so each
 worker's jobs train as one lockstep stack (mlp.train_group), sharing
 NumPy's per-call overhead without changing any net's arithmetic:
 processes split the classes, lockstep speeds up each process.
@@ -16,10 +16,9 @@ replicates it to every root and fails over between the replicas.
 from __future__ import annotations
 
 import multiprocessing
-import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +70,8 @@ class PoolConfig:
 class JobOutcome:
     """Result slot for one job; exactly one of model/exception is set.
 
-    compute_seconds is the job's share, in proportion to the epochs it
-    ran, of its bucket's training time, so a bucket's compute times sum
-    to its real compute time.
+    compute_seconds is the job's share of its stack's training time from
+    train_group (its trace's or Diverged's wall_time); 0 if it never trained.
     """
 
     class_id: int
@@ -99,39 +97,27 @@ def _run_job_list(jobs: list[TrainingJob]):
     """Run a bucket's jobs into one JobOutcome each, in job order.
 
     Never raises, so one failure cannot sink a batch: a job's exception
-    is kept in its outcome. The bucket's jobs share a topology and an
-    input matrix (run_pool checks), so they train as one lockstep stack
-    through a single train_group call. Each job gets a share of the
-    elapsed time, in proportion to the epochs it ran, so a bucket's
-    compute times sum to its real compute time.
+    is kept in its outcome. The bucket's jobs share a topology, an input
+    matrix and a config apart from the seed (run_pool checks), so they
+    train as one lockstep stack through a single train_group call, whose
+    time shares become the outcomes' compute_seconds.
     """
-    started = time.perf_counter()
     try:
         trained = train_group(jobs[0].topology, jobs[0].inputs,
-                              [j.targets for j in jobs], [j.config for j in jobs])
+                              [j.targets for j in jobs], jobs[0].config,
+                              [j.config.seed for j in jobs])
     except Exception as exc:    # captured per job, reported in outcome
         trained = [exc] * len(jobs)
-    elapsed = time.perf_counter() - started
-    epochs = [_epochs_spent(result) for result in trained]
-    total = sum(epochs)
     outcomes = []
-    for job, result, spent in zip(jobs, trained, epochs):
-        share = spent / total if total else 1.0 / len(jobs)
+    for job, result in zip(jobs, trained):
         if isinstance(result, Exception):
-            model, err = None, result
+            seconds = result.wall_time if isinstance(result, Diverged) else 0.0
+            outcomes.append(JobOutcome(job.class_id, None, result, seconds))
         else:
-            model, err = ClassModel(job.class_id, *result), None
-        outcomes.append(JobOutcome(job.class_id, model, err, elapsed * share))
+            model = ClassModel(job.class_id, *result)
+            outcomes.append(JobOutcome(job.class_id, model, None,
+                                       model.trace.wall_time))
     return outcomes
-
-
-def _epochs_spent(result) -> int:
-    """Epochs a train_group entry used: its trace's, or where it diverged."""
-    if isinstance(result, Diverged):
-        return result.epoch
-    if isinstance(result, Exception):
-        return 0
-    return result[1].epochs_run
 
 
 def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
@@ -142,16 +128,18 @@ def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
     the same whichever stack it trains in. A job that raises is reported
     in its outcome; the remaining jobs, those of its own stack included,
     still complete. An empty job list, duplicate class ids, or jobs that
-    differ in topology or input matrix are an InvalidConfig at every
-    worker count, before any training.
+    differ in topology, input matrix or config other than by seed are an
+    InvalidConfig at every worker count, before any training: a stack
+    trains at its first job's topology and config, so a mixed list would
+    give weights that depend on the worker count.
     """
     if not jobs:
         raise InvalidConfig("no jobs to run")
     ids = [j.class_id for j in jobs]
     if len(set(ids)) != len(ids):
         raise InvalidConfig(f"duplicate class ids in job list: {ids}")
-    if len({(j.topology, id(j.inputs)) for j in jobs}) > 1:
-        raise InvalidConfig("jobs must share one topology and input matrix")
+    if len({(j.topology, id(j.inputs), replace(j.config, seed=0)) for j in jobs}) > 1:
+        raise InvalidConfig("jobs may differ only in class, targets and seed")
 
     if pool.workers == 1:
         outcomes = _run_job_list(jobs)

@@ -189,7 +189,7 @@ BAD_TRAIN_FLAGS = [("--hidden", "0"), ("--downsample", "0"),
                    ("--components", "0"), ("--workers", "0"),
                    ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
                    ("--momentum", "1"), ("--goal", "nan"),
-                   ("--goal", "inf")]
+                   ("--goal", "inf"), ("--goal", "0"), ("--max-epochs", "0")]
 BAD_EVALUATE_FLAGS = [("--n-pos", "-1"), ("--n-neg", "-1"), ("--n-pos", "0"),
                       ("--threshold", "nan"), ("--threshold", "1.5"),
                       ("--threshold", "-1"), ("--downsample", "0")]
@@ -218,13 +218,13 @@ def test_out_of_range_flag_is_config_error(trained, tmp_path, capsys, case):
 def test_out_of_range_flag_is_config_error_without_data(tmp_path, capsys,
                                                         case):
     # A bad flag is reported before any file is read, so a missing --data
-    # cannot turn it into a fatal error.
+    # cannot turn it into a fatal error, and the line names it as typed.
     command, flag, value, *extra = case
     code = main([command, "--data", str(tmp_path / "missing"), "--store",
                  store_arg(tmp_path), flag, value, *extra])
     err = capsys.readouterr().err
     assert code == 2
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} ")
 
 
 def test_rejected_train_does_not_pin_the_store(tmp_path, capsys):

@@ -82,6 +82,12 @@ def test_maxval_must_end_in_one_whitespace_byte():
         parse_pgm(b"P5\n2 1\n255#c\n" + bytes([1, 2]))
 
 
+def test_comment_may_precede_the_raster_delimiter():
+    # The comment's own newline is not the delimiter; the next byte is.
+    data = b"P5\n2 1\n255#c\n\n" + bytes([1, 2])
+    assert list(parse_pgm(data).pixels) == [1, 2]
+
+
 def test_bad_magic_rejected():
     with pytest.raises(UnsupportedFormat):
         parse_pgm(b"P6\n1 1\n255\n\x00")

@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,7 @@ def test_run_pool_results_sorted_and_complete():
     assert [o.class_id for o in outcomes] == [1, 2, 3, 4, 5]
     assert all(o.model is not None for o in outcomes)
     assert all(o.compute_seconds > 0.0 for o in outcomes)
+    assert all(o.compute_seconds == o.model.trace.wall_time for o in outcomes)
 
 
 def test_run_pool_parallel_equals_sequential():
@@ -123,6 +125,14 @@ def test_run_pool_isolates_failures():
     assert outcomes[1].model is None
     assert isinstance(outcomes[1].exception, Diverged)
     assert "epoch" in str(outcomes[1].exception)
+    # One clock: the diverged job's time per epoch is the trained jobs'.
+    trace = outcomes[0].model.trace
+    rate = trace.wall_time / trace.epochs_run
+    assert rate > 0
+    for o in outcomes:
+        epochs = (o.exception.epoch if o.model is None
+                  else o.model.trace.epochs_run)
+        np.testing.assert_allclose(o.compute_seconds / epochs, rate, rtol=1e-9)
 
 
 def test_run_pool_failure_capture_crosses_processes():
@@ -208,9 +218,9 @@ def test_ocon_weights_identical_across_worker_counts(classes, seed):
     groups = []
     real_train_group = parallel.train_group
 
-    def counting_train_group(topology, inputs, targets, configs):
+    def counting_train_group(topology, inputs, targets, config, seeds):
         groups.append(len(targets))
-        return real_train_group(topology, inputs, targets, configs)
+        return real_train_group(topology, inputs, targets, config, seeds)
 
     parallel.train_group = counting_train_group
     try:
@@ -248,19 +258,30 @@ def test_failures_stay_isolated_inside_a_lockstep_group(workers):
     assert all(o.compute_seconds > 0 for o in outcomes if o.class_id != 4)
 
 
+# Jobs that cannot share a stack with make_jobs' jobs. A seed of its own
+# is no reason: every job of a run has one.
+ODD_JOBS = {
+    "hidden-width": TrainingJob(3, INPUTS, sample_targets(3),
+                                Topology((2, 4, 1)), CFG),
+    "sample-count": TrainingJob(3, INPUTS[:4], sample_targets(3)[:4], TOPO,
+                                CFG),
+    "inputs": TrainingJob(3, INPUTS.copy(), sample_targets(3), TOPO, CFG),
+    "learning-rate": TrainingJob(3, INPUTS, sample_targets(3), TOPO,
+                                 replace(CFG, learning_rate=0.2, seed=3)),
+    "goal": TrainingJob(3, INPUTS, sample_targets(3), TOPO,
+                        replace(CFG, goal=1e-3, seed=3)),
+}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("odd_job", [
-    TrainingJob(3, INPUTS, sample_targets(3), Topology((2, 4, 1)), CFG),
-    TrainingJob(3, INPUTS[:4], sample_targets(3)[:4], TOPO, CFG),
-    TrainingJob(3, INPUTS.copy(), sample_targets(3), TOPO, CFG),
-], ids=["hidden-width", "sample-count", "inputs"])
+@pytest.mark.parametrize("odd_job", list(ODD_JOBS.values()), ids=list(ODD_JOBS))
 def test_run_pool_rejects_mixed_jobs_before_training(monkeypatch, workers,
                                                      odd_job):
-    # A bucket trains as one stack at its first job's topology and on its
-    # first job's inputs, so a mixed list would train some nets at the
-    # wrong width or on another job's inputs, or give weights that depend
-    # on how the workers split the jobs. Equal values in another array are
-    # still another input matrix.
+    # A bucket trains as one stack at its first job's topology and config
+    # and on its first job's inputs, so a mixed list would train some nets
+    # at the wrong width, rate or goal or on another job's inputs, or give
+    # weights that depend on how the workers split the jobs. Equal values
+    # in another array are still another input matrix.
     calls = []
     monkeypatch.setattr(parallel, "train_group",
                         lambda *args: calls.append(args))
