@@ -127,19 +127,14 @@ def classify_ocon(ensemble: OconEnsemble, f: np.ndarray) -> tuple[int, np.ndarra
     All k subnets are always evaluated; a high early score never skips
     the rest. Returns (class_id, scores aligned with ensemble.models).
     """
-    f = np.asarray(f, dtype=np.float64)
-    scores = np.empty(len(ensemble.models))
-    for i, model in enumerate(ensemble.models):
-        out, _ = forward(model.weights, f)
-        scores[i] = out[0]
+    scores = np.array([forward(m.weights, f)[0] for m in ensemble.models])
     winner = _argmax_lowest(ensemble.class_ids, scores)
     return ensemble.models[winner].class_id, scores
 
 
 def classify_acon(model: AconModel, f: np.ndarray) -> tuple[int, np.ndarray]:
     """Single forward pass; argmax over the k outputs."""
-    f = np.asarray(f, dtype=np.float64)
-    scores, _ = forward(model.weights, f)
+    scores = forward(model.weights, f)
     winner = _argmax_lowest(model.class_ids, scores)
     return model.class_ids[winner], scores
 

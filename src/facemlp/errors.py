@@ -104,10 +104,6 @@ class WeightsUnavailable(FacemlpError):
 
 # --- evaluation protocol ---
 
-class UnknownClass(FacemlpError):
-    """Class id is not registered with the model under evaluation."""
-
-
 class ProtocolError(FacemlpError):
     """The test protocol cannot be satisfied for a class."""
 

@@ -1,9 +1,11 @@
 """Per-class verification protocol and report rendering.
 
 Each registered class is tested on n_pos of its own test images plus
-n_neg drawn from other classes' test images (default 10/10). OCON scores
-are thresholded per class; ACON decisions use argmax. Every registered
-class is always evaluated, regardless of earlier results.
+n_neg drawn from other classes' test images (default 10/10). Each
+architecture has one decision, whether a class accepts an exemplar: OCON
+thresholds the class's own net, ACON takes the argmax over its outputs.
+Every registered class is always evaluated through that one decision,
+regardless of earlier results.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import (DEFAULT_THRESHOLD, AconModel, ClassModel,
-                          OconEnsemble, classify_acon, verify)
-from .errors import InvalidConfig, ProtocolError, UnknownClass
+from .classifiers import (DEFAULT_THRESHOLD, AconModel, OconEnsemble,
+                          classify_acon, verify)
+from .errors import InvalidConfig, ProtocolError
 from .mlp import TrainingTrace, forward
 
 DEFAULT_N_POS = 10
@@ -72,25 +74,6 @@ def _tally(class_id: int, accepts, positives, negatives) -> ClassResult:
                        100.0 * correct / total)
 
 
-def evaluate_class_ocon(model: ClassModel, positives, negatives,
-                        threshold: float = DEFAULT_THRESHOLD) -> ClassResult:
-    """Score one subnet: accept positives, reject negatives."""
-    def accepts(f) -> bool:
-        out, _ = forward(model.weights, np.asarray(f, dtype=np.float64))
-        return verify(float(out[0]), threshold)
-    return _tally(model.class_id, accepts, positives, negatives)
-
-
-def evaluate_class_acon(model: AconModel, class_id: int, positives,
-                        negatives) -> ClassResult:
-    """Argmax protocol: a positive is correct iff predicted as class_id,
-    a negative iff predicted as anything else."""
-    if class_id not in model.class_ids:
-        raise UnknownClass(f"class {class_id} not in {model.class_ids}")
-    return _tally(class_id, lambda f: classify_acon(model, f)[0] == class_id,
-                  positives, negatives)
-
-
 def _split_exemplars(class_id: int, test_samples, protocol: Protocol):
     """First n_pos same-class test vectors, plus a seeded draw of n_neg
     other-class vectors. The draw depends only on (seed, class_id)."""
@@ -116,12 +99,18 @@ def evaluate_all(models, test_samples,
     class_id to ClassModel (None marking a class whose weights could not
     be loaded; such classes appear in the report with an error note and
     are left out of the average). Each becomes (class_id, model) rows,
-    OCON's by class id and ACON's in class_ids order, for one loop.
+    OCON's by class id and ACON's in class_ids order. The architecture's
+    decision is chosen once: an OCON class accepts an exemplar when its
+    net's output passes protocol.threshold, an ACON class when it wins
+    the argmax. Every row is then tallied through that one decision.
     """
     if isinstance(models, AconModel):
         mode = "ACON"
         table = [(cid, models) for cid in models.class_ids]
         traces = [("acon", models.trace)] if models.trace else []
+
+        def accepts(cid, model, f) -> bool:
+            return classify_acon(model, f)[0] == cid
     else:
         if isinstance(models, OconEnsemble):
             by_id: Mapping = {m.class_id: m for m in models.models}
@@ -134,17 +123,18 @@ def evaluate_all(models, test_samples,
         traces = [(f"class {cid}", m.trace) for cid, m in table
                   if m is not None and m.trace is not None]
 
+        def accepts(cid, model, f) -> bool:
+            return verify(forward(model.weights, f)[0], protocol.threshold)
+
     rows = []
     for cid, model in table:
         pos, neg = _split_exemplars(cid, test_samples, protocol)
         if model is None:
             rows.append(ClassResult(cid, 0, 0, 0, 0, 0.0,
                                     error="weights unavailable"))
-        elif mode == "ACON":
-            rows.append(evaluate_class_acon(model, cid, pos, neg))
         else:
-            rows.append(evaluate_class_ocon(model, pos, neg,
-                                            protocol.threshold))
+            rows.append(_tally(cid, lambda f: accepts(cid, model, f),
+                               pos, neg))
 
     scored = [r.rate for r in rows if r.error is None]
     average = float(np.mean(scored)) if scored else 0.0

@@ -14,8 +14,9 @@ one round of in-place NumPy calls for the whole stack instead of one per
 net. Every slice of the stack runs the same IEEE operations in the same
 order as a net trained alone, so a net's weights and MSE history never
 depend on its group. train_group drives it, train is the group of one,
-and gradients is one backprop of a stack of one. The single-vector
-forward used for classification is separate.
+and gradients is one backprop of a stack of one. Classification uses
+forward, which runs one vector through one net and returns its output
+layer.
 
 ClassModel and AconModel, trained nets labelled with their classes, sit
 beside Weights so that the pool, the store codec and the classifiers all
@@ -171,28 +172,22 @@ def init_weights(topology: Topology, seed: int) -> Weights:
     return Weights(ws, bs)
 
 
-def forward(weights: Weights, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run one vector through the net.
-
-    Returns (output, activations) where activations[0] is the input and
-    activations[-1] the output layer.
-    """
+def forward(weights: Weights, x: np.ndarray) -> np.ndarray:
+    """Run one vector through the net; returns the output layer."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1 or a.shape[0] != weights.weights[0].shape[1]:
         raise DimensionMismatch(
             f"input length {a.shape} does not match net input "
             f"{weights.weights[0].shape[1]}"
         )
-    acts = [a]
     for w, b in zip(weights.weights, weights.biases):
         a = _sigmoid(w @ a + b)
-        acts.append(a)
     # In float64, 1 + exp(-z) rounds to 1 for z above about 37 and exp
     # overflows for z below about -709, so a saturated output unit reads
     # exactly 1 or 0; the clamp keeps every output strictly inside (0, 1).
     np.minimum(a, _OUT_HI, out=a)
     np.maximum(a, _OUT_LO, out=a)
-    return a, acts
+    return a
 
 
 def _batch(inputs, targets, sizes) -> tuple[np.ndarray, np.ndarray]:

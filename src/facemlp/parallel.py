@@ -182,6 +182,8 @@ def _parse(raw: bytes, expected_magic: str, path: Path):
         numbers = [float(t) for line in lines[2:] for t in line.split()]
     except ValueError as exc:
         raise FormatError(f"{path}: malformed numeric field") from exc
+    if len(set(header_ids)) != len(header_ids):
+        raise FormatError(f"{path}: header repeats a class id")
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise FormatError(f"{path}: bad layer sizes {sizes}")
 

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from facemlp.classifiers import (
+    AconModel,
     ClassModel,
     OconEnsemble,
     build_ocon_jobs,
@@ -153,7 +154,7 @@ def test_criterion_2_gradient_correctness():
                                      targets)
 
                 def loss():
-                    outs = np.vstack([forward(w, x)[0] for x, _ in batch])
+                    outs = np.vstack([forward(w, x) for x, _ in batch])
                     return np.mean((outs - targets) ** 2)
 
                 for layer in range(len(w.weights)):
@@ -430,17 +431,24 @@ def test_criterion_9_exhaustive_testing(monkeypatch):
         assert len(forward_calls) == k
 
         seen = []
-        real_eval = evaluator_mod.evaluate_class_ocon
+        real_tally = evaluator_mod._tally
 
-        def spy(model, pos, neg, threshold=0.5):
-            seen.append(model.class_id)
-            return real_eval(model, pos, neg, threshold)
+        def spy(class_id, accepts, positives, negatives):
+            seen.append(class_id)
+            return real_tally(class_id, accepts, positives, negatives)
 
-        monkeypatch.setattr(evaluator_mod, "evaluate_class_ocon", spy)
+        monkeypatch.setattr(evaluator_mod, "_tally", spy)
         evaluate_all(ensemble, keyed_features(k, (0,) * k), Protocol())
         assert seen == list(range(1, k + 1))
+
+        seen.clear()
+        order = tuple(range(k, 0, -1))
+        acon = AconModel(order, Weights([np.eye(k) * 50.0], [np.zeros(k)]))
+        evaluate_all(acon, keyed_features(k, (0,) * k), Protocol())
+        assert seen == list(order)
         ok = True
         detail = (f"classify ran all {k} subnets despite an immediate hit; "
-                  f"every registered class evaluated exactly once")
+                  f"every registered class of an OCON and an ACON model "
+                  f"evaluated exactly once")
     finally:
         _report(9, "exhaustive testing discipline", ok, detail)

@@ -383,6 +383,38 @@ def test_evaluate_reports_a_corrupt_weight_replica(trained, tmp_path,
     assert "warning:" in err and "class_1.wts" in err
 
 
+def repeat_a_class_id(path: Path) -> None:
+    """Rewrite an ACON replica's header to list its first class id twice,
+    recomputing the checksum so that only the header is wrong."""
+    lines = verify(path.read_bytes(), path).split(b"\n")
+    ids = lines[0].split()[1:]
+    lines[0] = b" ".join([b"ACONW1", ids[0], *ids[:-1]])
+    path.write_bytes(frame(b"\n".join(lines)))
+
+
+def test_evaluate_fails_over_an_acon_header_that_repeats_a_class_id(
+        trained, tmp_path, capsys):
+    data, roots, intact = trained
+    copies = [shutil.copytree(r, tmp_path / r.name) for r in roots]
+    repeat_a_class_id(copies[0] / "acon.wts")
+    capsys.readouterr()
+    assert evaluate_csv(data, copies, "acon",
+                        tmp_path / "out.csv") == intact["acon"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("warning:") and "acon.wts" in line
+    assert "repeats a class id" in line
+
+    repeat_a_class_id(copies[1] / "acon.wts")
+    assert main(["evaluate", "--data", str(data), "--store",
+                 ":".join(str(r) for r in copies), "--mode", "acon"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("warning:") == 2
+    assert captured.err.splitlines()[-1].startswith("error: ")
+
+
 def test_evaluate_ignores_an_edited_eigenspace_value(trained, tmp_path,
                                                      capsys):
     data, roots, intact = trained

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from facemlp.classifiers import AconModel, ClassModel, OconEnsemble
-from facemlp.errors import InvalidConfig, ProtocolError, UnknownClass
+from facemlp.errors import InvalidConfig, ProtocolError
 from facemlp.evaluator import (
     ClassResult,
     Protocol,
     convergence_trace_csv,
     evaluate_all,
-    evaluate_class_acon,
-    evaluate_class_ocon,
     render_report,
 )
 from facemlp.mlp import TrainingTrace, Weights
@@ -39,6 +37,16 @@ def keyed_features(k, wrong_positives):
     return samples
 
 
+def class_row(models, class_id, pos, neg):
+    """class_id's row of evaluate_all over samples from which the default
+    protocol draws exactly pos as positives and all of neg as negatives
+    (neg is labelled with another class id, and has at most 10 entries)."""
+    other = class_id % 2 + 1
+    samples = [(f, class_id) for f in pos] + [(f, other) for f in neg]
+    report = evaluate_all(models, samples)
+    return next(r for r in report.per_class if r.class_id == class_id)
+
+
 def fake_trace(goal_met=True, epochs=3, final=5e-4):
     history = [0.1, 0.01, final][:epochs]
     return TrainingTrace(history, goal_met, wall_time=0.01)
@@ -48,7 +56,7 @@ def test_perfect_subnet_scores_100():
     model = keyed_subnet(1, 3)
     pos = [np.array([1.0, -1.0, -1.0])] * 10
     neg = [np.array([-1.0, 1.0, -1.0])] * 10
-    result = evaluate_class_ocon(model, pos, neg)
+    result = class_row({1: model}, 1, pos, neg)
     assert (result.correct, result.rate) == (20, 100.0)
     assert (result.n_test, result.n_pos, result.n_neg) == (20, 10, 10)
 
@@ -57,7 +65,7 @@ def test_constant_low_scorer_gets_negatives_only():
     model = constant_subnet(1, 2, score=0.4999)
     pos = [np.zeros(2)] * 10
     neg = [np.ones(2)] * 10
-    result = evaluate_class_ocon(model, pos, neg)
+    result = class_row({1: model}, 1, pos, neg)
     assert result.correct == 10
     assert result.rate == 50.0
 
@@ -68,7 +76,7 @@ def test_eighteen_of_twenty_is_ninety_percent():
     blank = np.full(4, -1.0)
     pos = [good] * 8 + [blank] * 2
     neg = [blank] * 10
-    result = evaluate_class_ocon(model, pos, neg)
+    result = class_row({2: model}, 2, pos, neg)
     assert result.correct == 18
     assert result.rate == 90.0
 
@@ -80,39 +88,33 @@ def acon_identity(k):
 
 
 def test_acon_perfect_class():
-    model = acon_identity(3)
-    f1 = np.array([1.0, -1.0, -1.0])
-    f2 = np.array([-1.0, 1.0, -1.0])
-    result = evaluate_class_acon(model, 1, [f1] * 10, [f2] * 10)
+    model = acon_identity(2)
+    f1 = np.array([1.0, -1.0])
+    f2 = np.array([-1.0, 1.0])
+    result = class_row(model, 1, [f1] * 10, [f2] * 10)
     assert result.rate == 100.0
 
 
 def test_acon_constant_predictor_is_half_right():
-    k = 3
+    k = 2
     w = np.zeros((k, k))
-    w[0, :] = 0.0
-    model = AconModel((1, 2, 3), Weights([w], [np.array([5.0, 0.0, 0.0])]))
+    model = AconModel((1, 2), Weights([w], [np.array([5.0, 0.0])]))
     pos = [np.zeros(k)] * 10
     neg = [np.zeros(k)] * 10
-    result = evaluate_class_acon(model, 1, pos, neg)
+    result = class_row(model, 1, pos, neg)
     assert result.correct == 10
     assert result.rate == 50.0
 
 
 def test_acon_fourteen_of_twenty():
-    model = acon_identity(4)
-    own = np.array([1.0, -1.0, -1.0, -1.0])
-    other = np.array([-1.0, 1.0, -1.0, -1.0])
+    model = acon_identity(2)
+    own = np.array([1.0, -1.0])
+    other = np.array([-1.0, 1.0])
     pos = [own] * 4 + [other] * 6
     neg = [other] * 10
-    result = evaluate_class_acon(model, 1, pos, neg)
+    result = class_row(model, 1, pos, neg)
     assert result.correct == 14
     assert result.rate == 70.0
-
-
-def test_acon_unknown_class():
-    with pytest.raises(UnknownClass):
-        evaluate_class_acon(acon_identity(2), 5, [np.zeros(2)], [np.zeros(2)])
 
 
 def test_protocol_threshold_must_lie_in_unit_interval():
@@ -180,16 +182,21 @@ def test_evaluate_all_calls_each_class_once(monkeypatch):
     import facemlp.evaluator as mod
 
     seen = []
-    real = evaluate_class_ocon
+    real = mod._tally
 
-    def spy(model, pos, neg, threshold=0.5):
-        seen.append(model.class_id)
-        return real(model, pos, neg, threshold)
+    def spy(class_id, accepts, positives, negatives):
+        seen.append(class_id)
+        return real(class_id, accepts, positives, negatives)
 
-    monkeypatch.setattr(mod, "evaluate_class_ocon", spy)
+    monkeypatch.setattr(mod, "_tally", spy)
     ensemble = OconEnsemble([keyed_subnet(c, 4) for c in (1, 2, 3, 4)], 4)
     evaluate_all(ensemble, keyed_features(4, [0, 0, 0, 0]))
     assert seen == [1, 2, 3, 4]
+
+    seen.clear()
+    acon = AconModel((3, 1, 4, 2), acon_identity(4).weights)
+    evaluate_all(acon, keyed_features(4, [0, 0, 0, 0]))
+    assert seen == [3, 1, 4, 2]
 
 
 def test_render_table_layout():

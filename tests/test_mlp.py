@@ -72,15 +72,13 @@ def test_init_weights_deterministic():
 def test_forward_zero_weights_gives_half():
     w = Weights([np.zeros((3, 2)), np.zeros((1, 3))],
                 [np.zeros(3), np.zeros(1)])
-    out, acts = forward(w, np.array([0.3, -2.0]))
+    out = forward(w, np.array([0.3, -2.0]))
     np.testing.assert_allclose(out, [0.5])
-    assert len(acts) == 3
-    np.testing.assert_allclose(acts[1], [0.5, 0.5, 0.5])
 
 
 def test_forward_single_unit():
     w = Weights([np.array([[1.0]])], [np.zeros(1)])
-    out, _ = forward(w, np.array([0.0]))
+    out = forward(w, np.array([0.0]))
     np.testing.assert_allclose(out, [0.5])
 
 
@@ -98,7 +96,7 @@ def test_forward_matches_scalar_loop():
                 z += mat[i, j] * a[j]
             nxt[i] = 1.0 / (1.0 + math.exp(-z))
         a = nxt
-    out, _ = forward(w, x)
+    out = forward(w, x)
     np.testing.assert_allclose(out, a, rtol=1e-12)
 
 
@@ -116,14 +114,14 @@ def test_forward_outputs_in_open_interval(seed, scale):
     w = init_weights(Topology((3, 4, 2)), seed=seed)
     for arr in w.weights:
         arr *= scale
-    out, _ = forward(w, rng.normal(size=3))
+    out = forward(w, rng.normal(size=3))
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
 def test_gradients_zero_at_fit():
     w = init_weights(Topology((2, 3, 1)), seed=5)
     xs = np.array([[0.1, 0.9], [-1.0, 0.4]])
-    g = gradients(w, xs, np.array([forward(w, x)[0] for x in xs]))
+    g = gradients(w, xs, np.array([forward(w, x) for x in xs]))
     for arr in g.weights + g.biases:
         np.testing.assert_allclose(arr, 0.0, atol=1e-15)
 
@@ -150,7 +148,7 @@ def test_gradients_match_finite_differences():
     g = gradients(w, inputs, targets)
 
     def loss():
-        outs = np.vstack([forward(w, x)[0] for x in inputs])
+        outs = np.vstack([forward(w, x) for x in inputs])
         return np.mean((outs - targets) ** 2)
 
     h = 1e-5
@@ -191,7 +189,7 @@ def test_train_solves_xor():
     assert trace.final_mse < 1e-3
     assert trace.epochs_run <= 20000
     for x, t in zip(XOR_X, XOR_T):
-        out, _ = forward(w, x)
+        out = forward(w, x)
         assert round(out[0]) == t[0]
 
 
@@ -234,7 +232,7 @@ def test_single_small_step_descends():
     x = np.array([rng.normal(size=3) for _ in range(6)])
     t = (np.arange(6) % 2.0)[:, None]
     before_w = init_weights(topo, seed=6)
-    outs = np.vstack([forward(before_w, row)[0] for row in x])
+    outs = np.vstack([forward(before_w, row) for row in x])
     before = np.mean((outs - t) ** 2)
     cfg = TrainingConfig(learning_rate=1e-4, momentum=0.0, goal=1e-12,
                          max_epochs=1, seed=6)

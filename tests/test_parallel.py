@@ -165,7 +165,6 @@ ERROR_CASES = [
     errors.StoreError("no root"),
     errors.ChecksumMismatch("crc"),
     errors.WeightsUnavailable(5),
-    errors.UnknownClass("class 9"),
     errors.ProtocolError(3, "no negative exemplars available"),
 ]
 
