@@ -54,12 +54,11 @@ def _load_vectors(data: str, factor: int):
     manifest_path = Path(data)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.tsv"
-    manifest, samples = load_manifest(manifest_path)
+    paths, samples = load_manifest(manifest_path)
     roles = [s.role for s in samples]
     if "train" not in roles:
         raise InvalidConfig("manifest contains no training samples")
     images = [downsample(s.image, factor) for s in samples]
-    paths = [manifest.base_dir / r.path for r in manifest.records]
     first = roles.index("train")
     size = (images[first].width, images[first].height)
     after = f" after --downsample {factor}" if factor > 1 else ""

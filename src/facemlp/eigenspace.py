@@ -41,16 +41,20 @@ NEGLIGIBLE_EIGENVALUE = 1e-12
 class Eigenspace:
     """Mean vector plus an orthonormal eigenvector basis.
 
-    basis has shape (dim, m) with one unit-length eigenface per column,
-    ordered by descending eigenvalue. fingerprint is fingerprint() of the
-    training matrix and the requested m the space was built from.
+    mean has one entry per image pixel, so its length is the space's
+    dim. basis has shape (dim, m) with one unit-length eigenface per
+    column, ordered by descending eigenvalue. fingerprint is fingerprint()
+    of the training matrix and the requested m the space was built from.
     """
 
-    dim: int
     mean: np.ndarray
     basis: np.ndarray
     eigenvalues: np.ndarray
     fingerprint: str
+
+    @property
+    def dim(self) -> int:
+        return len(self.mean)
 
     @property
     def components(self) -> int:
@@ -121,7 +125,7 @@ def compute_eigenspace(train_vectors: list[np.ndarray] | np.ndarray,
         if face[np.argmax(np.abs(face))] < 0:
             face = -face
         basis[:, i] = face
-    return Eigenspace(d, mean, basis, cov_values[:keep].copy(), built_from)
+    return Eigenspace(mean, basis, cov_values[:keep].copy(), built_from)
 
 
 def project(space: Eigenspace, v: np.ndarray) -> np.ndarray:
@@ -161,7 +165,8 @@ def save_eigenspace(space: Eigenspace, path: str | Path) -> None:
 
 def load_eigenspace(path: str | Path) -> Eigenspace:
     """Read and checksum-validate a space written by encode_eigenspace;
-    the body must hold exactly d + m + m*d values and its final newline."""
+    the body must hold exactly d + m + m*d finite values and its final
+    newline."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -187,5 +192,7 @@ def load_eigenspace(path: str | Path) -> Eigenspace:
         raise FormatError(f"{path}: expected {count} values and a newline "
                           f"({8 * count + 1} bytes), found {len(body)} bytes")
     values = np.frombuffer(body, dtype="<f8", count=count).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: non-finite value")
     basis = values[d + m :].reshape(m, d).T.copy()
-    return Eigenspace(d, values[:d], basis, values[d : d + m], fields[3])
+    return Eigenspace(values[:d], basis, values[d : d + m], fields[3])

@@ -44,34 +44,47 @@ class Protocol:
 
 @dataclass
 class ClassResult:
-    """One class's verification outcome; error is set when its model
-    could not be loaded (counts are zero in that case)."""
+    """One class's verification outcome: correct decisions out of n_pos
+    positives and n_neg negatives. error is set when its model could not
+    be loaded (counts are zero in that case). n_test and rate derive from
+    the counts, so a row cannot contradict itself."""
 
     class_id: int
-    n_test: int
     n_pos: int
     n_neg: int
     correct: int
-    rate: float
     error: str | None = None
+
+    @property
+    def n_test(self) -> int:
+        return self.n_pos + self.n_neg
+
+    @property
+    def rate(self) -> float:
+        """Percent correct; 0.0 for a row with no test images."""
+        return 100.0 * self.correct / self.n_test if self.n_test else 0.0
 
 
 @dataclass
 class EvaluationReport:
+    """Per-class rows in evaluation order; average_rate is the mean rate
+    of the rows without an error, 0.0 when every row has one."""
+
     mode: str
     per_class: list[ClassResult]
-    average_rate: float
     traces: list[tuple[str, TrainingTrace]] = field(default_factory=list)
+
+    @property
+    def average_rate(self) -> float:
+        scored = [r.rate for r in self.per_class if r.error is None]
+        return float(np.mean(scored)) if scored else 0.0
 
 
 def _tally(class_id: int, accepts, positives, negatives) -> ClassResult:
     """Correct decisions: positives accepted plus negatives rejected."""
-    n_pos, n_neg = len(positives), len(negatives)
     labelled = [(f, True) for f in positives] + [(f, False) for f in negatives]
     correct = sum(1 for f, positive in labelled if accepts(f) == positive)
-    total = n_pos + n_neg
-    return ClassResult(class_id, total, n_pos, n_neg, correct,
-                       100.0 * correct / total)
+    return ClassResult(class_id, len(positives), len(negatives), correct)
 
 
 def _split_exemplars(class_id: int, test_samples, protocol: Protocol):
@@ -130,15 +143,11 @@ def evaluate_all(models, test_samples,
     for cid, model in table:
         pos, neg = _split_exemplars(cid, test_samples, protocol)
         if model is None:
-            rows.append(ClassResult(cid, 0, 0, 0, 0, 0.0,
-                                    error="weights unavailable"))
+            rows.append(ClassResult(cid, 0, 0, 0, error="weights unavailable"))
         else:
             rows.append(_tally(cid, lambda f: accepts(cid, model, f),
                                pos, neg))
-
-    scored = [r.rate for r in rows if r.error is None]
-    average = float(np.mean(scored)) if scored else 0.0
-    return EvaluationReport(mode, rows, average, traces)
+    return EvaluationReport(mode, rows, traces)
 
 
 def render_report(report: EvaluationReport, format: str = "table") -> str:
@@ -153,11 +162,8 @@ def render_report(report: EvaluationReport, format: str = "table") -> str:
     if format == "csv":
         lines = ["class_id,n_test,n_pos,n_neg,correct,rate_percent"]
         for r in report.per_class:
-            if r.error is None:
-                lines.append(f"{r.class_id},{r.n_test},{r.n_pos},{r.n_neg},"
-                             f"{r.correct},{r.rate!r}")
-            else:
-                lines.append(f"{r.class_id},{r.n_test},{r.n_pos},{r.n_neg},,")
+            scored = f"{r.correct},{r.rate!r}" if r.error is None else ","
+            lines.append(f"{r.class_id},{r.n_test},{r.n_pos},{r.n_neg},{scored}")
         lines.append(f"average,,,,,{report.average_rate!r}")
         return "\n".join(lines) + "\n"
     if format != "table":

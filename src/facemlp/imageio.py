@@ -66,21 +66,6 @@ class Sample:
             raise ValueError("class_id must be >= 1")
 
 
-@dataclass(frozen=True)
-class ManifestRecord:
-    path: str
-    class_id: int
-    role: str
-
-
-@dataclass
-class Manifest:
-    """Ordered dataset description rooted at base_dir."""
-
-    base_dir: Path
-    records: list[ManifestRecord]
-
-
 def _header_fields(data: bytes) -> tuple[list[bytes], int]:
     """Return the first four header tokens and the offset just past the last.
 
@@ -196,21 +181,21 @@ def downsample(image: GrayImage, factor: int) -> GrayImage:
     return GrayImage(w, h, pooled.reshape(-1))
 
 
-def load_manifest(path: str | Path) -> tuple[Manifest, list[Sample]]:
+def load_manifest(path: str | Path) -> tuple[list[Path], list[Sample]]:
     """Load a manifest file and every image it references.
 
     Each non-empty, non-comment line reads `path<TAB>class_id<TAB>role`
     with role in {train, test}. Paths resolve relative to the manifest's
-    directory. Record order is preserved.
+    directory. Returns each record's image path and its Sample, as two
+    lists in record order.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileError(f"cannot read manifest {path}: {exc}") from exc
-    base = path.parent
 
-    records: list[ManifestRecord] = []
+    records: list[tuple[Path, int, str]] = []
     seen_paths: set[str] = set()
     train_classes: set[int] = set()
     test_lines: list[tuple[int, int]] = []  # (class_id, line) for role=test
@@ -237,21 +222,20 @@ def load_manifest(path: str | Path) -> tuple[Manifest, list[Sample]]:
             train_classes.add(class_id)
         else:
             test_lines.append((class_id, lineno))
-        records.append(ManifestRecord(rel, class_id, role))
+        records.append((path.parent / rel, class_id, role))
 
     for class_id, lineno in test_lines:
         if class_id not in train_classes:
             raise ManifestSyntax(f"test class {class_id} has no train records", lineno)
 
     samples: list[Sample] = []
-    for rec in records:
-        img_path = base / rec.path
+    for img_path, class_id, role in records:
         try:
             data = img_path.read_bytes()
         except OSError as exc:
             raise FileError(f"cannot read image {img_path}: {exc}") from exc
-        samples.append(Sample(parse_pgm(data), rec.class_id, rec.role))
-    return Manifest(base, records), samples
+        samples.append(Sample(parse_pgm(data), class_id, role))
+    return [p for p, _, _ in records], samples
 
 
 def write_dataset(samples: list[Sample], out_dir: str | Path) -> Path:

@@ -131,7 +131,8 @@ class ClassModel:
 
 @dataclass(eq=False)
 class AconModel:
-    """Single net with one output per class, in class_ids order."""
+    """Single net with one output per class, in class_ids order; the
+    class ids are distinct."""
 
     class_ids: tuple[int, ...]
     weights: Weights
@@ -141,6 +142,9 @@ class AconModel:
         k, outputs = len(self.class_ids), self.weights.layer_sizes[-1]
         if k < 2:
             raise InsufficientClasses("ACON needs at least 2 classes")
+        if len(set(self.class_ids)) != k:
+            raise ValueError(f"duplicate class ids in ACON model: "
+                             f"{list(self.class_ids)}")
         if outputs != k:
             raise DimensionMismatch(f"{k} classes but {outputs} outputs")
 
@@ -218,6 +222,12 @@ def _layers(flat: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
                       flat[:, None, end:end + fan_out]))
         start = end + fan_out
     return views
+
+
+def unflatten(flat: np.ndarray, sizes) -> Weights:
+    """The net of the given layer sizes whose parameters, in _flat's
+    order, are the 1-D float64 array flat."""
+    return _unflat(_layers(flat[None], sizes), 0)
 
 
 def _unflat(layers, slot: int) -> Weights:
@@ -357,13 +367,18 @@ def train_group(topology: Topology, inputs: np.ndarray, targets: list,
     Returns one entry per net, in order: (weights, trace), or the exception
     that net raised (DimensionMismatch, ValueError or TypeError for bad
     targets, Diverged for a non-finite MSE). Raises InvalidConfig if the
-    target sets and seeds differ in count. This is the group's one clock:
+    target sets and seeds differ in count, and DimensionMismatch if inputs
+    is not a non-empty (n, input size) matrix. This is the group's one clock:
     a net's share of the training time, in proportion to its epochs, is
     its trace's or its Diverged's wall_time, so the shares sum to it.
     """
     if len(targets) != len(seeds):
         raise InvalidConfig(f"{len(targets)} target sets for {len(seeds)} seeds")
-    wanted = (len(inputs), topology.output_size)
+    shape = np.shape(inputs)
+    if len(shape) != 2 or not shape[0] or shape[1] != topology.input_size:
+        raise DimensionMismatch(f"inputs shape {shape}, expected (n, "
+                                f"{topology.input_size}) with n >= 1")
+    wanted = (shape[0], topology.output_size)
     results: list = [None] * len(targets)
     members, ts = [], []
     for i, t in enumerate(targets):

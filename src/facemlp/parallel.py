@@ -23,14 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    Diverged,
-    FormatError,
-    InvalidConfig,
-    StoreError,
-    WeightsUnavailable,
-)
-from .mlp import AconModel, ClassModel, Topology, TrainingConfig, Weights, train_group
+from .errors import FormatError, InvalidConfig, StoreError, WeightsUnavailable
+from .mlp import (AconModel, ClassModel, Topology, TrainingConfig, Weights,
+                  train_group, unflatten)
 from .store import (
     PersistOutcome,
     WeightStore,
@@ -68,16 +63,18 @@ class PoolConfig:
 
 @dataclass(eq=False)
 class JobOutcome:
-    """Result slot for one job; exactly one of model/exception is set.
-
-    compute_seconds is the job's share of its stack's training time from
-    train_group (its trace's or Diverged's wall_time); 0 if it never trained.
-    """
+    """Result slot for one job; exactly one of model/exception is set."""
 
     class_id: int
     model: ClassModel | None = None
     exception: BaseException | None = None
-    compute_seconds: float = 0.0
+
+    @property
+    def compute_seconds(self) -> float:
+        """The job's share of its stack's training time from train_group:
+        its trace's or its Diverged's wall_time; 0.0 if it never trained."""
+        timed = self.model.trace if self.model is not None else self.exception
+        return getattr(timed, "wall_time", 0.0)
 
 
 def allocate(jobs: list[TrainingJob], pool: PoolConfig) -> list[list[TrainingJob]]:
@@ -100,7 +97,7 @@ def _run_job_list(jobs: list[TrainingJob]):
     is kept in its outcome. The bucket's jobs share a topology, an input
     matrix and a config apart from the seed (run_pool checks), so they
     train as one lockstep stack through a single train_group call, whose
-    time shares become the outcomes' compute_seconds.
+    per-net time shares are the outcomes' compute_seconds.
     """
     try:
         trained = train_group(jobs[0].topology, jobs[0].inputs,
@@ -108,16 +105,10 @@ def _run_job_list(jobs: list[TrainingJob]):
                               [j.config.seed for j in jobs])
     except Exception as exc:    # captured per job, reported in outcome
         trained = [exc] * len(jobs)
-    outcomes = []
-    for job, result in zip(jobs, trained):
-        if isinstance(result, Exception):
-            seconds = result.wall_time if isinstance(result, Diverged) else 0.0
-            outcomes.append(JobOutcome(job.class_id, None, result, seconds))
-        else:
-            model = ClassModel(job.class_id, *result)
-            outcomes.append(JobOutcome(job.class_id, model, None,
-                                       model.trace.wall_time))
-    return outcomes
+    return [JobOutcome(job.class_id, exception=result)
+            if isinstance(result, Exception)
+            else JobOutcome(job.class_id, ClassModel(job.class_id, *result))
+            for job, result in zip(jobs, trained)]
 
 
 def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
@@ -192,15 +183,10 @@ def _parse(raw: bytes, expected_magic: str, path: Path):
         raise FormatError(
             f"{path}: expected {expected} parameters, found {len(numbers)}"
         )
-    ws, bs = [], []
-    pos = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        ws.append(np.array(numbers[pos : pos + fan_out * fan_in])
-                  .reshape(fan_out, fan_in))
-        pos += fan_out * fan_in
-        bs.append(np.array(numbers[pos : pos + fan_out]))
-        pos += fan_out
-    return header_ids, Weights(ws, bs)
+    values = np.array(numbers)      # each layer's weight rows, then its bias
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: non-finite value")
+    return header_ids, unflatten(values, sizes)
 
 
 def class_filename(class_id: int) -> str:

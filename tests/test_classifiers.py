@@ -282,6 +282,14 @@ def test_acon_model_validation():
         AconModel((1, 2), w)
 
 
+def test_acon_model_rejects_repeated_class_ids():
+    # Evaluated, such a model would report one class twice and another
+    # not at all.
+    w = Weights([np.eye(2) * 50], [np.zeros(2)])
+    with pytest.raises(ValueError, match="duplicate class ids"):
+        AconModel((1, 1), w)
+
+
 def test_class_model_requires_single_output():
     w = Weights([np.zeros((2, 3))], [np.zeros(2)])
     with pytest.raises(DimensionMismatch):

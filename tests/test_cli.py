@@ -480,6 +480,93 @@ def test_any_single_byte_mutation_keeps_evaluate_output(trained, name, root,
             assert name in err.getvalue()
 
 
+def damage(path: Path, how: str) -> None:
+    """Break one artifact or data file: remove it, put a directory in its
+    place, cut it to half its length, or set one value to NaN with the
+    checksum recomputed, so that only the value is wrong."""
+    raw = path.read_bytes()
+    if how == "missing":
+        path.unlink()
+    elif how == "directory":
+        path.unlink()
+        path.mkdir()
+    elif how == "truncated":
+        path.write_bytes(raw[: len(raw) // 2])
+    elif path.name == "eigenspace.txt":        # its last basis value
+        body = verify(raw, path)
+        path.write_bytes(frame(body[:-9] + np.float64(np.nan).tobytes()
+                               + b"\n"))
+    else:                                       # its first weight
+        lines = verify(raw, path).split(b"\n")
+        lines[2] = b" ".join([b"nan", *lines[2].split()[1:]])
+        path.write_bytes(frame(b"\n".join(lines)))
+
+
+def run_main(capsys, *argv):
+    """main's exit code, stdout and stderr; an exception escaping main
+    fails the test."""
+    capsys.readouterr()
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# Each store case: an artifact, the mode that reads it, what happens to
+# it, and in how many roots.
+STORE_FAULTS = [(name, mode, how, roots)
+                for name, mode in [("eigenspace.txt", "ocon"),
+                                   ("class_1.wts", "ocon"),
+                                   ("acon.wts", "acon")]
+                for how in ["missing", "directory", "truncated", "nan"]
+                for roots in ["first", "both"]]
+
+
+@pytest.mark.parametrize("name, mode, how, roots", STORE_FAULTS)
+def test_store_fault_matrix(trained, tmp_path, capsys, name, mode, how,
+                            roots):
+    # One damaged replica changes no output byte. With every replica
+    # damaged the run exits 1, or 3 when one class's weights are gone,
+    # and says so in exactly one error: line.
+    data, intact_roots, _ = trained
+    args = ["evaluate", "--data", str(data), "--mode", mode, "--store"]
+    _, intact, _ = run_main(capsys, *args,
+                            ":".join(str(r) for r in intact_roots))
+    copies = [shutil.copytree(r, tmp_path / r.name) for r in intact_roots]
+    for root in copies[: 1 if roots == "first" else 2]:
+        damage(root / name, how)
+    code, out, err = run_main(capsys, *args,
+                              ":".join(str(r) for r in copies))
+    if roots == "first":
+        assert (code, out) == (0, intact)
+        assert "error:" not in err
+        return
+    assert code == (3 if name == "class_1.wts" else 1)
+    assert sum("error:" in line for line in (out + err).splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("victim, how", [
+    ("manifest.tsv", "missing"), ("manifest.tsv", "directory"),
+    ("class01_train000.pgm", "missing"),
+    ("class01_train000.pgm", "directory"),
+    ("class01_train000.pgm", "truncated")])
+def test_dataset_fault_matrix(trained, tmp_path, capsys, command, victim,
+                              how):
+    data, roots, _ = trained
+    copy = shutil.copytree(data, tmp_path / "data")
+    damage(copy / victim, how)
+    store = ":".join(str(r) for r in roots) if command == "evaluate" \
+        else store_arg(tmp_path, ("fresh",))
+    code, out, err = run_main(capsys, command, "--data", str(copy),
+                              "--store", store,
+                              *(SPEED if command == "train" else []))
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_evaluate_rejects_an_eigenspace_of_other_inputs(tmp_path, capsys):
     # Root a was trained on one data set and root b on another; once a's
     # space is corrupt, evaluate must not project through b's space.

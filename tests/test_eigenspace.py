@@ -259,8 +259,20 @@ def test_load_rejects_undecodable_or_bad_shape(tmp_path, raw, reason):
         load_eigenspace(p)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 3, 6], ids=["mean", "eigenvalue",
+                                                  "basis"])
+def test_load_rejects_a_non_finite_value(tmp_path, index, value):
+    values = [0, 0, 0, 1, 1, 0, 0]
+    values[index] = value
+    p = tmp_path / "space.txt"
+    write_framed(p, b"EIGEN2 3 1 0:1\n" + f8(*values) + b"\n")
+    with pytest.raises(FormatError, match="non-finite value"):
+        load_eigenspace(p)
+
+
 def small_body() -> bytes:
-    space = Eigenspace(3, np.zeros(3), np.eye(3)[:, :1], np.ones(1), "0:1")
+    space = Eigenspace(np.zeros(3), np.eye(3)[:, :1], np.ones(1), "0:1")
     return encode_eigenspace(space)
 
 
@@ -299,7 +311,7 @@ def test_codec_roundtrip_is_bit_identical(tmp_path_factory, data, d, m, crc):
     def draw(*shape):
         return data.draw(arrays(np.float64, shape, elements=FLOAT64))
 
-    space = Eigenspace(d, draw(d), draw(d, m), draw(m), f"{crc:08x}:{m}")
+    space = Eigenspace(draw(d), draw(d, m), draw(m), f"{crc:08x}:{m}")
     p = tmp_path_factory.mktemp("codec") / "space.txt"
     save_eigenspace(space, p)
     loaded = load_eigenspace(p)

@@ -280,6 +280,6 @@ def test_trace_csv_goal_met_consistency():
 
 
 def test_class_result_invariants():
-    r = ClassResult(1, 20, 10, 10, 18, 90.0)
+    r = ClassResult(1, 10, 10, 18)
     assert r.n_pos + r.n_neg == r.n_test
     assert r.rate == 100.0 * r.correct / r.n_test

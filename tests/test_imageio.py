@@ -225,13 +225,13 @@ def test_image_validation():
 def test_dataset_roundtrip(tmp_path):
     samples = generate_synthetic(2, 2, 1, 6, seed=9)
     manifest_path = write_dataset(samples, tmp_path / "data")
-    manifest, loaded = load_manifest(manifest_path)
+    paths, loaded = load_manifest(manifest_path)
     assert len(loaded) == len(samples)
     assert [s.class_id for s in loaded] == [s.class_id for s in samples]
     assert [s.role for s in loaded] == [s.role for s in samples]
     for a, b in zip(loaded, samples):
         assert same_image(a.image, b.image)
-    assert len(manifest.records) == 6
+    assert len(paths) == 6
 
 
 def _write_manifest(tmp_path, body):

@@ -370,3 +370,14 @@ def test_train_group_rejects_mixed_sample_counts():
     assert ok[1].epochs_run == 5 and isinstance(short, DimensionMismatch)
     with pytest.raises(InvalidConfig):
         train_group(Topology((2, 3, 1)), XOR_X, [XOR_T], cfg, [0, 0])
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (4,), (0, 3), (4, 3, 1)],
+                         ids=["wide", "vector", "empty", "three_d"])
+def test_train_group_rejects_inputs_of_another_shape(shape):
+    # Inputs that are not a non-empty (n, input size) matrix fail the
+    # whole group before any net trains, as one DimensionMismatch rather
+    # than NumPy's error from inside the stack.
+    with pytest.raises(DimensionMismatch, match="inputs shape"):
+        train_group(Topology((3, 2, 1)), np.zeros(shape), [np.zeros((4, 1))],
+                    TrainingConfig(max_epochs=5), [0])

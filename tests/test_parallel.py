@@ -32,7 +32,7 @@ from facemlp.parallel import (
     read_weight_file,
     run_pool,
 )
-from facemlp.store import frame
+from facemlp.store import frame, verify
 
 TOPO = Topology((2, 3, 1))
 CFG = TrainingConfig(learning_rate=0.3, momentum=0.8, goal=1e-2,
@@ -452,6 +452,49 @@ def test_acon_failover_and_exhaustion(tmp_path):
     (tmp_path / "a" / "acon.wts").unlink()
     assert load_acon(store).class_ids == (1, 2)
     (tmp_path / "b" / "acon.wts").unlink()
+    with pytest.raises(StoreError):
+        load_acon(store)
+
+
+def set_first_weight(path, token: bytes) -> None:
+    """Replace a weight file's first weight with token, recomputing the
+    checksum so that only the value is wrong."""
+    lines = verify(path.read_bytes(), path).split(b"\n")
+    lines[2] = b" ".join([token, *lines[2].split()[1:]])
+    path.write_bytes(frame(b"\n".join(lines)))
+
+
+@pytest.mark.parametrize("token", [b"nan", b"inf", b"-inf"])
+def test_load_fails_over_a_non_finite_class_weight(tmp_path, token):
+    store = WeightStore((tmp_path / "a", tmp_path / "b"))
+    model = random_model(1, seed=3)
+    persist(model, store)
+    victim = tmp_path / "a" / class_filename(1)
+    set_first_weight(victim, token)
+    with pytest.raises(FormatError, match="non-finite value"):
+        read_weight_file(victim)
+    skipped = []
+    loaded = load(1, store, lambda path, exc: skipped.append(path))
+    assert skipped == [victim]
+    for x, y in zip(loaded.weights.weights, model.weights.weights):
+        assert np.array_equal(x, y)
+    set_first_weight(tmp_path / "b" / class_filename(1), token)
+    with pytest.raises(WeightsUnavailable):
+        load(1, store)
+
+
+@pytest.mark.parametrize("token", [b"nan", b"inf", b"-inf"])
+def test_load_acon_fails_over_a_non_finite_weight(tmp_path, token):
+    store = WeightStore((tmp_path / "a", tmp_path / "b"))
+    model = AconModel((1, 2), init_weights(Topology((2, 3, 2)), seed=4))
+    persist_acon(model, store)
+    set_first_weight(tmp_path / "a" / "acon.wts", token)
+    skipped = []
+    loaded = load_acon(store, lambda path, exc: skipped.append(exc))
+    assert [str(e).endswith("non-finite value") for e in skipped] == [True]
+    for x, y in zip(loaded.weights.weights, model.weights.weights):
+        assert np.array_equal(x, y)
+    set_first_weight(tmp_path / "b" / "acon.wts", token)
     with pytest.raises(StoreError):
         load_acon(store)
 
