@@ -23,7 +23,7 @@ from .imageio import (
     to_vector,
 )
 from .mlp import Topology, TrainingConfig, TrainingTrace, Weights, train
-from .parallel import PoolConfig, TrainingJob, WeightStore, persist, run_pool
+from .parallel import OconRun, PoolConfig, TrainingJob, WeightStore, persist, run_pool
 
 __version__ = "0.1.0"
 
@@ -34,6 +34,6 @@ __all__ = [
     "FacemlpError", "EvaluationReport", "Protocol", "evaluate_all",
     "render_report", "GrayImage", "Sample", "generate_synthetic",
     "load_manifest", "parse_pgm", "to_vector", "Topology", "TrainingConfig",
-    "TrainingTrace", "Weights", "train", "PoolConfig", "TrainingJob",
+    "TrainingTrace", "Weights", "train", "OconRun", "PoolConfig", "TrainingJob",
     "WeightStore", "persist", "run_pool", "__version__",
 ]

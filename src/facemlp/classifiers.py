@@ -9,7 +9,7 @@ decide by argmax; OCON additionally supports thresholded verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     NoCounterexamples,
 )
 from .mlp import AconModel, ClassModel, Topology, TrainingConfig, forward, train
-from .parallel import PoolConfig, TrainingJob, run_pool
+from .parallel import OconRun, PoolConfig, TrainingJob, run_pool
 
 OCON_HIDDEN = 20
 ACON_HIDDEN = 60
@@ -72,18 +72,17 @@ def build_ocon_task(class_id: int, labels: np.ndarray) -> np.ndarray:
 
 
 def build_ocon_jobs(train_samples, hidden: int,
-                    config: TrainingConfig) -> list[TrainingJob]:
-    """One pool job per class, in class_id order.
+                    config: TrainingConfig) -> OconRun:
+    """The OconRun that run_pool trains: one job per class, in class_id order.
 
-    Each job trains a (feature dim, hidden, 1) net against its class's
-    targets on the (n, feature dim) training matrix that all jobs share,
-    seeded config.seed + class_id so the subnets start from distinct weights.
+    Every job trains a (feature dim, hidden, 1) net against its class's
+    targets on the run's one (n, feature dim) training matrix; job c
+    starts from seed config.seed + c, so no two subnets start alike.
     """
     inputs, labels, class_ids = _stacked(train_samples)
-    topology = Topology((inputs.shape[1], hidden, 1))
-    return [TrainingJob(cid, inputs, build_ocon_task(cid, labels),
-                        topology, replace(config, seed=config.seed + cid))
-            for cid in class_ids]
+    return OconRun(inputs, Topology((inputs.shape[1], hidden, 1)), config,
+                   [TrainingJob(cid, build_ocon_task(cid, labels))
+                    for cid in class_ids])
 
 
 def train_ocon(train_samples, hidden: int = OCON_HIDDEN,
@@ -91,16 +90,15 @@ def train_ocon(train_samples, hidden: int = OCON_HIDDEN,
     """Train one subnet per class and bundle them.
 
     Every subnet is a (feature dim, hidden, 1) net; only the weights
-    differ. Training runs through the worker pool; any job failure is
-    re-raised here.
+    differ. The run from build_ocon_jobs trains through the worker pool;
+    any job failure is re-raised here.
     """
-    jobs = build_ocon_jobs(train_samples, hidden, config or TrainingConfig())
-    outcomes = run_pool(jobs, pool or PoolConfig())
+    run = build_ocon_jobs(train_samples, hidden, config or TrainingConfig())
+    outcomes = run_pool(run, pool or PoolConfig())
     for outcome in outcomes:
         if outcome.model is None:
             raise outcome.exception
-    return OconEnsemble([o.model for o in outcomes],
-                        jobs[0].topology.input_size)
+    return OconEnsemble([o.model for o in outcomes], run.topology.input_size)
 
 
 def train_acon(train_samples, hidden: int = ACON_HIDDEN,

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .imageio import downsample, load_manifest, generate_synthetic, to_vector, write_dataset
 from .mlp import TrainingConfig
-from .parallel import PoolConfig
 from .store import WeightStore, read_replicated, write_replicated
 
 STORE_ENV = "FACEMLP_STORE"
@@ -44,8 +43,10 @@ EXIT_PARTIAL = 3
 
 
 def _resolve_store(flag_value: str | None) -> WeightStore:
-    """Store roots come from --store, else the env override, else ./weights."""
-    raw = flag_value or os.environ.get(STORE_ENV) or "weights"
+    """Store roots come from --store, else the env override, else ./weights.
+    A --store given as empty (or only colons) names no root: InvalidConfig."""
+    raw = flag_value if flag_value is not None \
+        else os.environ.get(STORE_ENV) or "weights"
     roots = tuple(Path(p) for p in raw.split(":") if p)
     return WeightStore(roots)
 
@@ -153,7 +154,7 @@ def cmd_train(args) -> int:
     config = _from_flags(TrainingConfig, args, learning_rate="--lr",
                          momentum="--momentum", goal="--goal",
                          max_epochs="--max-epochs", seed="--seed")
-    pool = _from_flags(PoolConfig, args, workers="--workers")
+    pool = _from_flags(parallel.PoolConfig, args, workers="--workers")
     _check_positive(args, "hidden", "components", "downsample")
     train_pairs, _ = _load_vectors(args.data, args.downsample)
     train_vectors = [v for v, _ in train_pairs]
@@ -169,10 +170,10 @@ def cmd_train(args) -> int:
         nets = [("acon", train_acon(features, args.hidden or ACON_HIDDEN,
                                     config), None)]
     else:
-        jobs = build_ocon_jobs(features, args.hidden or OCON_HIDDEN, config)
+        run = build_ocon_jobs(features, args.hidden or OCON_HIDDEN, config)
         save = parallel.persist
         nets = [(f"class {o.class_id}", o.model, o.exception)
-                for o in parallel.run_pool(jobs, pool)]
+                for o in parallel.run_pool(run, pool)]
 
     # After training, before any weight file: failed runs write nothing.
     # A space read back re-encodes to its bytes: this mends a bad replica.

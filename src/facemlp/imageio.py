@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    FacemlpError,
     FileError,
     InvalidConfig,
     ManifestSyntax,
@@ -187,7 +188,8 @@ def load_manifest(path: str | Path) -> tuple[list[Path], list[Sample]]:
     Each non-empty, non-comment line reads `path<TAB>class_id<TAB>role`
     with role in {train, test}. Paths resolve relative to the manifest's
     directory. Returns each record's image path and its Sample, as two
-    lists in record order.
+    lists in record order. A FileError for an unreadable image and
+    parse_pgm's error for a malformed one name the image's path.
     """
     path = Path(path)
     try:
@@ -231,10 +233,12 @@ def load_manifest(path: str | Path) -> tuple[list[Path], list[Sample]]:
     samples: list[Sample] = []
     for img_path, class_id, role in records:
         try:
-            data = img_path.read_bytes()
+            samples.append(Sample(parse_pgm(img_path.read_bytes()),
+                                  class_id, role))
         except OSError as exc:
             raise FileError(f"cannot read image {img_path}: {exc}") from exc
-        samples.append(Sample(parse_pgm(data), class_id, role))
+        except FacemlpError as exc:     # parse_pgm's, which name no file
+            raise type(exc)(f"{img_path}: {exc}") from exc
     return [p for p, _, _ in records], samples
 
 

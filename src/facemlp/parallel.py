@@ -3,10 +3,11 @@
 The pool is a set of local worker processes standing in for the separate
 machines a networked deployment would use: jobs are independent, training
 is seed-deterministic, so the outcome is bit-identical however the jobs
-are spread. The jobs differ only in class, targets and seed, so each
-worker's jobs train as one lockstep stack (mlp.train_group), sharing
-NumPy's per-call overhead without changing any net's arithmetic:
-processes split the classes, lockstep speeds up each process.
+are spread. An OconRun holds the inputs, topology and config once, and
+each job only its class's targets, so a worker's jobs train as one
+lockstep stack (mlp.train_group), sharing NumPy's per-call overhead with
+no change to any net's arithmetic: processes split the classes, lockstep
+speeds up each process.
 
 The weight-file codec lives here too: persist and load encode and decode
 a net's text body, and facemlp.store frames it with its checksum,
@@ -18,7 +19,7 @@ from __future__ import annotations
 import multiprocessing
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,17 +40,30 @@ ACON_FILENAME = "acon.wts"
 
 @dataclass(eq=False)
 class TrainingJob:
-    """A class's 0/1 target column over inputs, its run's shared matrix."""
+    """One class's (n, 1) 0/1 target column over its run's input matrix."""
 
     class_id: int
-    inputs: np.ndarray
     targets: np.ndarray
+
+
+@dataclass(eq=False)
+class OconRun:
+    """The pool's input: the (n, d) training matrix, the topology and the
+    config every OCON net shares, and one job per class. Job c trains
+    from seed config.seed + c, so retraining one class disturbs no other.
+    """
+
+    inputs: np.ndarray
     topology: Topology
     config: TrainingConfig
+    jobs: list[TrainingJob]
 
     def __post_init__(self):
+        ids = [j.class_id for j in self.jobs]
+        if not ids or len(set(ids)) != len(ids):
+            raise InvalidConfig(f"a run needs one job per class, got ids {ids}")
         if not len(self.inputs):
-            raise InvalidConfig(f"job for class {self.class_id} has no samples")
+            raise InvalidConfig("run has no samples")
 
 
 @dataclass(frozen=True)
@@ -77,32 +91,28 @@ class JobOutcome:
         return getattr(timed, "wall_time", 0.0)
 
 
-def allocate(jobs: list[TrainingJob], pool: PoolConfig) -> list[list[TrainingJob]]:
-    """Split jobs across workers round robin: job i goes to worker i mod W.
-
-    Every job trains on the same inputs, so there is no task size to balance.
+def allocate(run: OconRun, pool: PoolConfig) -> list[list[TrainingJob]]:
+    """Split the run's jobs round robin, job i to worker i mod W, over at
+    most one worker per job: every job trains on the same inputs, so
+    there is no task size to balance.
     """
-    if not jobs:
-        raise InvalidConfig("no jobs to allocate")
-    buckets: list[list[TrainingJob]] = [[] for _ in range(pool.workers)]
-    for i, job in enumerate(jobs):
-        buckets[i % pool.workers].append(job)
-    return buckets
+    workers = min(pool.workers, len(run.jobs))
+    return [run.jobs[w::workers] for w in range(workers)]
 
 
-def _run_job_list(jobs: list[TrainingJob]):
-    """Run a bucket's jobs into one JobOutcome each, in job order.
+def _run_job_list(run: OconRun, jobs: list[TrainingJob]):
+    """Run a bucket of the run's jobs into one JobOutcome each, in order.
 
     Never raises, so one failure cannot sink a batch: a job's exception
-    is kept in its outcome. The bucket's jobs share a topology, an input
-    matrix and a config apart from the seed (run_pool checks), so they
-    train as one lockstep stack through a single train_group call, whose
-    per-net time shares are the outcomes' compute_seconds.
+    is kept in its outcome. The jobs train as one lockstep stack through
+    a single train_group call at the run's topology, inputs and config,
+    each from seed config.seed + class_id; its per-net time shares are
+    the outcomes' compute_seconds.
     """
     try:
-        trained = train_group(jobs[0].topology, jobs[0].inputs,
-                              [j.targets for j in jobs], jobs[0].config,
-                              [j.config.seed for j in jobs])
+        trained = train_group(run.topology, run.inputs,
+                              [j.targets for j in jobs], run.config,
+                              [run.config.seed + j.class_id for j in jobs])
     except Exception as exc:    # captured per job, reported in outcome
         trained = [exc] * len(jobs)
     return [JobOutcome(job.class_id, exception=result)
@@ -111,39 +121,25 @@ def _run_job_list(jobs: list[TrainingJob]):
             for job, result in zip(jobs, trained)]
 
 
-def run_pool(jobs: list[TrainingJob], pool: PoolConfig) -> list[JobOutcome]:
-    """Execute all jobs and gather the workers' outcomes by class_id.
+def run_pool(run: OconRun, pool: PoolConfig) -> list[JobOutcome]:
+    """Train every job of the run and gather the outcomes by class_id.
 
     Worker count never changes the trained weights, only the wall time:
     jobs share no state, each is deterministic, and a job's arithmetic is
     the same whichever stack it trains in. A job that raises is reported
     in its outcome; the remaining jobs, those of its own stack included,
-    still complete. An empty job list, duplicate class ids, or jobs that
-    differ in topology, input matrix or config other than by seed are an
-    InvalidConfig at every worker count, before any training: a stack
-    trains at its first job's topology and config, so a mixed list would
-    give weights that depend on the worker count.
+    still complete.
     """
-    if not jobs:
-        raise InvalidConfig("no jobs to run")
-    ids = [j.class_id for j in jobs]
-    if len(set(ids)) != len(ids):
-        raise InvalidConfig(f"duplicate class ids in job list: {ids}")
-    if len({(j.topology, id(j.inputs), replace(j.config, seed=0)) for j in jobs}) > 1:
-        raise InvalidConfig("jobs may differ only in class, targets and seed")
-
     if pool.workers == 1:
-        outcomes = _run_job_list(jobs)
+        outcomes = _run_job_list(run, run.jobs)
     else:
-        buckets = [b for b in allocate(jobs, pool) if b]
+        buckets = allocate(run, pool)
         ctx = multiprocessing.get_context("fork")
-        outcomes = []
         with ProcessPoolExecutor(max_workers=len(buckets),
                                  mp_context=ctx) as executor:
-            futures = [executor.submit(_run_job_list, bucket)
+            futures = [executor.submit(_run_job_list, run, bucket)
                        for bucket in buckets]
-            for fut in futures:
-                outcomes.extend(fut.result())
+            outcomes = [o for fut in futures for o in fut.result()]
     outcomes.sort(key=lambda o: o.class_id)
     return outcomes
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +42,7 @@ from facemlp.mlp import (
     init_weights,
 )
 from facemlp.parallel import (
+    OconRun,
     PoolConfig,
     TrainingJob,
     WeightStore,
@@ -95,12 +95,11 @@ def experiment():
 
     config = TrainingConfig(learning_rate=0.05, momentum=0.9, goal=1e-3,
                             max_epochs=20000, seed=2)
-    topology = Topology((40, 20, 1))
     inputs = np.array([f for f, _ in ftrain])
     labels = np.array([c for _, c in ftrain])
-    jobs = [TrainingJob(cid, inputs, build_ocon_task(cid, labels), topology,
-                        replace(config, seed=config.seed + cid))
-            for cid in range(1, 11)]
+    jobs = OconRun(inputs, Topology((40, 20, 1)), config,
+                   [TrainingJob(cid, build_ocon_task(cid, labels))
+                    for cid in range(1, 11)])
     outcomes = run_pool(jobs, PoolConfig(workers=1))
     assert all(o.model is not None for o in outcomes)
     ensemble = OconEnsemble([o.model for o in outcomes], 40)

@@ -69,13 +69,12 @@ def test_build_ocon_target_multiset(class_ids):
 def test_build_ocon_jobs_share_one_input_matrix():
     samples = labeled([([0.0, 1.0], 2), ([2.0, 3.0], 1), ([4.0, 5.0], 3),
                        ([6.0, 7.0], 1)])
-    jobs = build_ocon_jobs(samples, 3, TrainingConfig(seed=5))
-    assert [j.class_id for j in jobs] == [1, 2, 3]
-    assert [j.config.seed for j in jobs] == [6, 7, 8]
-    np.testing.assert_array_equal(jobs[0].inputs, [f for f, _ in samples])
-    for job in jobs:
-        assert job.inputs is jobs[0].inputs
-        assert job.topology.layer_sizes == (2, 3, 1)
+    run = build_ocon_jobs(samples, 3, TrainingConfig(seed=5))
+    assert [j.class_id for j in run.jobs] == [1, 2, 3]
+    assert run.config.seed == 5
+    np.testing.assert_array_equal(run.inputs, [f for f, _ in samples])
+    assert run.topology.layer_sizes == (2, 3, 1)
+    for job in run.jobs:
         relabelled = [[1.0 if c == job.class_id else 0.0] for _, c in samples]
         assert job.targets.tolist() == relabelled
 

@@ -148,6 +148,21 @@ def test_store_env_fallback(tmp_path, monkeypatch):
     assert (tmp_path / "env2" / "class_2.wts").exists()
 
 
+def test_empty_store_flag_is_config_error(tmp_path, monkeypatch, capsys):
+    # An empty --store names no root; it must not fall back to the env
+    # root or to ./weights.
+    data = synth(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FACEMLP_STORE", str(tmp_path / "env"))
+    code, out, err = run_main(capsys, "train", "--data", str(data),
+                              "--store", "", *SPEED)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    assert not (tmp_path / "env").exists()
+    assert not (tmp_path / "weights").exists()
+
+
 def test_train_with_worker_pool(tmp_path):
     data = synth(tmp_path)
     store = store_arg(tmp_path, ("pool",))
@@ -564,6 +579,8 @@ def test_dataset_fault_matrix(trained, tmp_path, capsys, command, victim,
     assert (code, out) == (1, "")
     [line] = err.splitlines()
     assert line.startswith("error: ")
+    if victim.endswith(".pgm"):
+        assert str(copy / victim) in line
     assert not (tmp_path / "fresh").exists()
 
 

@@ -280,6 +280,15 @@ def test_manifest_missing_image(tmp_path):
         load_manifest(p)
 
 
+def test_manifest_names_an_image_parse_pgm_rejects(tmp_path):
+    (tmp_path / "deep.pgm").write_bytes(b"P5\n1 1\n300\n\x00\x00")
+    p = _write_manifest(tmp_path, "deep.pgm\t1\ttrain\n")
+    with pytest.raises(UnsupportedDepth) as err:
+        load_manifest(p)
+    assert str(err.value) == \
+        f"{tmp_path / 'deep.pgm'}: maxval 300 exceeds 8-bit range"
+
+
 def test_manifest_missing_file(tmp_path):
     with pytest.raises(FileError):
         load_manifest(tmp_path / "nope.tsv")

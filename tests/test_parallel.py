@@ -20,6 +20,7 @@ from facemlp.errors import (
 from facemlp.mlp import Topology, TrainingConfig, init_weights, train
 from facemlp.parallel import (
     JobOutcome,
+    OconRun,
     PoolConfig,
     TrainingJob,
     WeightStore,
@@ -47,9 +48,12 @@ def sample_targets(class_id):
     return np.random.default_rng(class_id).integers(0, 2, (6, 1)) * 1.0
 
 
-def make_jobs(count):
-    return [TrainingJob(i, INPUTS, sample_targets(i), TOPO, CFG)
-            for i in range(1, count + 1)]
+def make_jobs(count, targets=None):
+    """A run of classes 1..count; targets maps a class id to its own."""
+    targets = targets or {}
+    return OconRun(INPUTS, TOPO, CFG,
+                   [TrainingJob(i, targets.get(i, sample_targets(i)))
+                    for i in range(1, count + 1)])
 
 
 def random_model(class_id, seed, sizes=(3, 4, 1)):
@@ -79,13 +83,13 @@ def test_allocate_round_robin_never_idles_a_worker():
 
 def test_allocate_rejects_empty():
     with pytest.raises(InvalidConfig):
-        allocate([], PoolConfig())
+        allocate(make_jobs(0), PoolConfig())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_pool_rejects_empty_at_every_worker_count(workers):
     with pytest.raises(InvalidConfig):
-        run_pool([], PoolConfig(workers=workers))
+        run_pool(make_jobs(0), PoolConfig(workers=workers))
 
 
 def test_pool_config_validation():
@@ -117,9 +121,7 @@ DIVERGING = np.full((6, 1), 1e160)
 
 
 def test_run_pool_isolates_failures():
-    jobs = make_jobs(3)
-    jobs[1] = TrainingJob(2, INPUTS, DIVERGING, TOPO, CFG)
-    outcomes = run_pool(jobs, PoolConfig(workers=1))
+    outcomes = run_pool(make_jobs(3, {2: DIVERGING}), PoolConfig(workers=1))
     assert outcomes[0].model is not None
     assert outcomes[2].model is not None
     assert outcomes[1].model is None
@@ -136,9 +138,7 @@ def test_run_pool_isolates_failures():
 
 
 def test_run_pool_failure_capture_crosses_processes():
-    jobs = make_jobs(2)
-    jobs[0] = TrainingJob(1, INPUTS, DIVERGING, TOPO, CFG)
-    outcomes = run_pool(jobs, PoolConfig(workers=2))
+    outcomes = run_pool(make_jobs(2, {1: DIVERGING}), PoolConfig(workers=2))
     assert outcomes[0].model is None
     assert isinstance(outcomes[0].exception, Diverged)
     assert outcomes[0].exception.epoch == 1
@@ -238,67 +238,34 @@ def test_ocon_weights_identical_across_worker_counts(classes, seed):
 def test_failures_stay_isolated_inside_a_lockstep_group(workers):
     # Round robin over 2 workers puts jobs 1 and 3 in one bucket, so the
     # diverging job 3 and the bad-target job 4 share groups with good jobs
-    # at either worker count.
-    jobs = make_jobs(5)
-    jobs[2] = TrainingJob(3, INPUTS, DIVERGING, TOPO, CFG)
-    jobs[3] = TrainingJob(4, INPUTS, np.zeros((6, 2)), TOPO, CFG)
-    outcomes = run_pool(jobs, PoolConfig(workers=workers))
+    # at either worker count. Each good net must equal the same net
+    # trained alone from its own seed, config.seed + class_id.
+    run = make_jobs(5, {3: DIVERGING, 4: np.zeros((6, 2))})
+    outcomes = run_pool(run, PoolConfig(workers=workers))
     assert isinstance(outcomes[2].exception, Diverged)
     assert outcomes[2].exception.epoch == 1
     assert isinstance(outcomes[3].exception, DimensionMismatch)
-    for job, outcome in zip(jobs, outcomes):
+    for job, outcome in zip(run.jobs, outcomes):
         if job.class_id in (3, 4):
             assert outcome.model is None
             continue
-        weights, trace = train(job.topology, job.inputs, job.targets,
-                               job.config)
+        weights, trace = train(TOPO, INPUTS, job.targets,
+                               replace(CFG, seed=CFG.seed + job.class_id))
         alone = ClassModel(job.class_id, weights, trace)
         assert same_models(outcome.model, alone)
     assert all(o.compute_seconds > 0 for o in outcomes if o.class_id != 4)
 
 
-# Jobs that cannot share a stack with make_jobs' jobs. A seed of its own
-# is no reason: every job of a run has one.
-ODD_JOBS = {
-    "hidden-width": TrainingJob(3, INPUTS, sample_targets(3),
-                                Topology((2, 4, 1)), CFG),
-    "sample-count": TrainingJob(3, INPUTS[:4], sample_targets(3)[:4], TOPO,
-                                CFG),
-    "inputs": TrainingJob(3, INPUTS.copy(), sample_targets(3), TOPO, CFG),
-    "learning-rate": TrainingJob(3, INPUTS, sample_targets(3), TOPO,
-                                 replace(CFG, learning_rate=0.2, seed=3)),
-    "goal": TrainingJob(3, INPUTS, sample_targets(3), TOPO,
-                        replace(CFG, goal=1e-3, seed=3)),
-}
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("odd_job", list(ODD_JOBS.values()), ids=list(ODD_JOBS))
-def test_run_pool_rejects_mixed_jobs_before_training(monkeypatch, workers,
-                                                     odd_job):
-    # A bucket trains as one stack at its first job's topology and config
-    # and on its first job's inputs, so a mixed list would train some nets
-    # at the wrong width, rate or goal or on another job's inputs, or give
-    # weights that depend on how the workers split the jobs. Equal values
-    # in another array are still another input matrix.
-    calls = []
-    monkeypatch.setattr(parallel, "train_group",
-                        lambda *args: calls.append(args))
-    with pytest.raises(InvalidConfig):
-        run_pool(make_jobs(2) + [odd_job], PoolConfig(workers=workers))
-    assert not calls
-
-
 def test_run_pool_rejects_duplicate_ids():
-    jobs = [TrainingJob(1, INPUTS, sample_targets(1), TOPO, CFG),
-            TrainingJob(1, INPUTS, sample_targets(2), TOPO, CFG)]
     with pytest.raises(InvalidConfig):
-        run_pool(jobs, PoolConfig())
+        OconRun(INPUTS, TOPO, CFG, [TrainingJob(1, sample_targets(1)),
+                                    TrainingJob(1, sample_targets(2))])
 
 
 def test_job_requires_samples():
     with pytest.raises(InvalidConfig):
-        TrainingJob(1, np.empty((0, 2)), np.empty((0, 1)), TOPO, CFG)
+        OconRun(np.empty((0, 2)), TOPO, CFG,
+                [TrainingJob(1, np.empty((0, 1)))])
 
 
 def test_persist_replicates_identically(tmp_path):
