@@ -74,12 +74,17 @@ def _load_vectors(data: str, factor: int):
     return split["train"], split["test"]
 
 
-def _check_positive(args, *flags) -> None:
-    """Reject a flag below 1 before any file is read, whatever the data."""
-    for flag in flags:
+def _check_flags(args, positive=(), paths=()) -> None:
+    """Reject, before any file is read, a flag below 1 and a path flag
+    given as "", which names no path: it must not mean the current or a
+    default directory."""
+    for flag in positive:
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise InvalidConfig(f"--{flag} must be >= 1, got {value}")
+    for flag in paths:
+        if getattr(args, flag.replace("-", "_")) == "":
+            raise InvalidConfig(f"--{flag} must name a path, got ''")
 
 
 def _from_flags(cls, args, **flags):
@@ -142,6 +147,7 @@ def _write_traces(traces_dir: Path, traces) -> None:
 
 
 def cmd_synth(args) -> int:
+    _check_flags(args, paths=["out"])
     samples = generate_synthetic(args.classes, args.train, args.test,
                                  args.side, args.seed)
     manifest = write_dataset(samples, Path(args.out))
@@ -155,7 +161,8 @@ def cmd_train(args) -> int:
                          momentum="--momentum", goal="--goal",
                          max_epochs="--max-epochs", seed="--seed")
     pool = _from_flags(parallel.PoolConfig, args, workers="--workers")
-    _check_positive(args, "hidden", "components", "downsample")
+    _check_flags(args, ["hidden", "components", "downsample"],
+                 ["data", "traces-dir"])
     train_pairs, _ = _load_vectors(args.data, args.downsample)
     train_vectors = [v for v, _ in train_pairs]
     space = _stored_eigenspace(store, train_vectors, args.components) \
@@ -204,7 +211,7 @@ def cmd_evaluate(args) -> int:
     protocol = _from_flags(evaluator.Protocol, args, n_pos="--n-pos",
                            n_neg="--n-neg", threshold="--threshold",
                            seed="--protocol-seed")
-    _check_positive(args, "downsample")
+    _check_flags(args, ["downsample"], ["data", "out"])
     train_pairs, test_pairs = _load_vectors(args.data, args.downsample)
     space = _stored_eigenspace(store, [v for v, _ in train_pairs])
     if space is None:

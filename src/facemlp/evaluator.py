@@ -26,7 +26,8 @@ DEFAULT_N_NEG = 10
 
 @dataclass(frozen=True)
 class Protocol:
-    """How evaluate_all builds each class's test set."""
+    """How evaluate_all builds each class's test set; seed (>= 0) seeds
+    the draw of its negatives."""
 
     n_pos: int = DEFAULT_N_POS
     n_neg: int = DEFAULT_N_NEG
@@ -40,6 +41,8 @@ class Protocol:
             raise InvalidConfig("n_neg must be >= 0")
         if not 0 <= self.threshold <= 1:
             raise InvalidConfig("threshold must lie in [0, 1]")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
 
 
 @dataclass

@@ -1,14 +1,16 @@
 """PGM ingestion, dataset manifests, and synthetic dataset generation.
 
-Images are 8-bit grayscale rasters. Datasets are described by a plain
-tab-separated manifest (`path<TAB>class_id<TAB>role`) so they stay diffable
-and language-neutral. A deterministic synthetic generator provides a
-desk-scale stand-in for a real face database: per-class prototype images
-perturbed by pixel noise and a linear illumination gradient.
+Images are 8-bit grayscale rasters read from P5 or P2 PGM files, whose
+header one regular expression matches. A tab-separated manifest
+(`path<TAB>class_id<TAB>role`) describes a dataset so it stays diffable
+and language-neutral. A deterministic synthetic generator is a desk-scale
+stand-in for a real face database: per-class prototype images perturbed
+by pixel noise and a linear illumination gradient.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,46 +69,32 @@ class Sample:
             raise ValueError("class_id must be >= 1")
 
 
-def _header_fields(data: bytes) -> tuple[list[bytes], int]:
-    """Return the first four header tokens and the offset just past the last.
-
-    Tokens are separated by whitespace; `#` starts a comment running to end
-    of line. Only the header is scanned, so binary payload bytes are never
-    touched.
-    """
-    fields: list[bytes] = []
-    i, n = 0, len(data)
-    while len(fields) < 4 and i < n:
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-        else:
-            start = i
-            while i < n and not data[i : i + 1].isspace() and data[i : i + 1] != b"#":
-                i += 1
-            fields.append(data[start:i])
-    return fields, i
+# A PGM header: the magic; width, height and maxval, each ended by
+# whitespace, a `#` comment (through its newline) or the data's end;
+# comments; one whitespace byte. All but the magic may match empty.
+_COMMENT = rb"#[^\n]*(?:\n|\Z)"
+_HEADER = re.compile(rb"P([25])(?![^\s#])"
+                     + (rb"(?:\s|" + _COMMENT + rb")*([^\s#]*)") * 3
+                     + rb"(?:" + _COMMENT + rb")*(\s?)")
 
 
 def parse_pgm(data: bytes) -> GrayImage:
     """Parse a PGM image from raw bytes.
 
     Accepts binary P5 and ASCII P2, maxval up to 255, with `#` comments in
-    the header. maxval must be followed by one whitespace byte, which
-    comments (newline included) may precede; for P5 the payload is read
-    verbatim after it. A sample above maxval is rejected.
+    the header, which one pattern matches. The magic number must be
+    exactly `P5` or `P2`. maxval must be followed by one whitespace byte,
+    which comments (newline included) may precede; for P5 the payload is
+    read verbatim after it. A sample above maxval is rejected.
     """
-    if not data.startswith((b"P5", b"P2")):
+    header = _HEADER.match(data)
+    if header is None:
         raise UnsupportedFormat("not a P5/P2 PGM stream")
-    fields, end = _header_fields(data)
-    if len(fields) < 4:
+    magic, *fields, delimiter = header.groups()
+    if not fields[-1]:      # the data ended before maxval
         raise UnsupportedFormat("incomplete PGM header")
-    magic = fields[0]
     try:
-        width, height, maxval = (int(f) for f in fields[1:4])
+        width, height, maxval = (int(f) for f in fields)
     except ValueError:
         raise UnsupportedFormat("non-numeric PGM header field") from None
     if width < 1 or height < 1:
@@ -115,30 +103,24 @@ def parse_pgm(data: bytes) -> GrayImage:
         raise UnsupportedDepth(f"maxval {maxval} exceeds 8-bit range")
     if maxval < 1:
         raise UnsupportedFormat("maxval must be at least 1")
-    while data[end : end + 1] == b"#":     # past its newline, or to the end
-        end = data.find(b"\n", end) + 1 or len(data)
-    if not data[end : end + 1].isspace():
+    if not delimiter:
         raise UnsupportedFormat("maxval is not followed by one whitespace byte")
 
-    count = width * height
-    if magic == b"P5":
-        # `end` sits on the whitespace byte terminating the maxval token.
-        payload = data[end + 1 : end + 1 + count]
+    count, end = width * height, header.end()
+    if magic == b"5":
+        payload = data[end : end + count]
         if len(payload) < count:
             raise TruncatedImage(f"expected {count} payload bytes, got {len(payload)}")
         pixels = np.frombuffer(payload, dtype=np.uint8)
     else:
-        tokens = data[end:].split()
         values = []
-        for tok in tokens:
-            if tok.startswith(b"#"):
+        for tok in data[end:].split():
+            if tok.startswith(b"#") or len(values) == count:
                 break
             try:
                 values.append(int(tok))
             except ValueError:
                 raise UnsupportedFormat(f"bad ASCII sample {tok!r}") from None
-            if len(values) == count:
-                break
         if len(values) < count:
             raise TruncatedImage(f"expected {count} samples, got {len(values)}")
         arr = np.array(values)
@@ -276,7 +258,7 @@ def generate_synthetic(k: int, n_train: int, n_test: int, side: int,
     Each class gets a seeded random prototype; every sample is the prototype
     plus Gaussian pixel noise (sigma 12 levels) plus a random linear
     illumination gradient (amplitude within 40 levels), clamped to [0, 255].
-    The same arguments always reproduce the same bytes.
+    The same arguments always reproduce the same bytes. seed must be >= 0.
     """
     if k < 2:
         raise InvalidConfig("need at least 2 classes")
@@ -284,6 +266,8 @@ def generate_synthetic(k: int, n_train: int, n_test: int, side: int,
         raise InvalidConfig("need at least 1 train and 1 test sample per class")
     if side < 4:
         raise InvalidConfig("side must be at least 4")
+    if seed < 0:
+        raise InvalidConfig("seed must be >= 0")
 
     rng = np.random.default_rng(seed)
     prototypes = [
@@ -300,11 +284,7 @@ def generate_synthetic(k: int, n_train: int, n_test: int, side: int,
         pixels = np.clip(np.rint(proto + noise + shade), 0, 255).astype(np.uint8)
         return GrayImage(side, side, pixels)
 
-    samples: list[Sample] = []
-    for class_id in range(1, k + 1):
-        proto = prototypes[class_id - 1]
-        for _ in range(n_train):
-            samples.append(Sample(perturbed(proto), class_id, "train"))
-        for _ in range(n_test):
-            samples.append(Sample(perturbed(proto), class_id, "test"))
-    return samples
+    roles = ["train"] * n_train + ["test"] * n_test
+    return [Sample(perturbed(proto), class_id, role)
+            for class_id, proto in enumerate(prototypes, start=1)
+            for role in roles]

@@ -76,6 +76,8 @@ class Weights:
 
 @dataclass(frozen=True)
 class TrainingConfig:
+    """How a net trains. seed (>= 0) seeds its initial weights."""
+
     learning_rate: float = 0.05
     momentum: float = 0.9
     goal: float = DEFAULT_GOAL
@@ -91,6 +93,8 @@ class TrainingConfig:
             raise InvalidConfig("goal must be positive and finite")
         if self.max_epochs < 1:
             raise InvalidConfig("max_epochs must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
 
 
 @dataclass

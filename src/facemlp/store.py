@@ -27,7 +27,9 @@ from .errors import (
 
 @dataclass(frozen=True)
 class WeightStore:
-    """Ordered list of replica directories."""
+    """Ordered list of replica directories, at least one and no two that
+    resolve to the same directory (two names for one directory would
+    count one copy twice)."""
 
     roots: tuple[Path, ...]
 
@@ -35,6 +37,8 @@ class WeightStore:
         roots = tuple(Path(r) for r in self.roots)
         if not roots:
             raise InvalidConfig("store needs at least one root")
+        if len({os.path.realpath(r) for r in roots}) < len(roots):
+            raise InvalidConfig("store lists one directory as two roots")
         object.__setattr__(self, "roots", roots)
 
 

@@ -163,6 +163,33 @@ def test_empty_store_flag_is_config_error(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "weights").exists()
 
 
+@pytest.mark.parametrize("names", [("ra", "ra"), ("ra", "x/../ra")],
+                         ids=["repeated", "aliased"])
+def test_store_listing_a_root_twice_is_config_error(tmp_path, capsys, names):
+    # One directory holds one copy; counted as two replicas, losing it
+    # would lose both.
+    data = synth(tmp_path)
+    code, out, err = run_main(capsys, "train", "--data", str(data),
+                              "--store", store_arg(tmp_path, names), *SPEED)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: store ")
+    assert not (tmp_path / "ra").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--out", ""), ("--seed", "-1")])
+def test_synth_bad_flag_is_config_error(tmp_path, monkeypatch, capsys, flag,
+                                        value):
+    # An empty --out must not mean the current directory.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(capsys, "synth", "--out", "data", *DATASET,
+                              flag, value)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_with_worker_pool(tmp_path):
     data = synth(tmp_path)
     store = store_arg(tmp_path, ("pool",))
@@ -204,10 +231,12 @@ BAD_TRAIN_FLAGS = [("--hidden", "0"), ("--downsample", "0"),
                    ("--components", "0"), ("--workers", "0"),
                    ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
                    ("--momentum", "1"), ("--goal", "nan"),
-                   ("--goal", "inf"), ("--goal", "0"), ("--max-epochs", "0")]
+                   ("--goal", "inf"), ("--goal", "0"), ("--max-epochs", "0"),
+                   ("--seed", "-1"), ("--data", ""), ("--traces-dir", "")]
 BAD_EVALUATE_FLAGS = [("--n-pos", "-1"), ("--n-neg", "-1"), ("--n-pos", "0"),
                       ("--threshold", "nan"), ("--threshold", "1.5"),
-                      ("--threshold", "-1"), ("--downsample", "0")]
+                      ("--threshold", "-1"), ("--downsample", "0"),
+                      ("--protocol-seed", "-1"), ("--data", ""), ("--out", "")]
 BAD_FLAGS = ([("train", *f) for f in BAD_TRAIN_FLAGS]
              + [("evaluate", *f) for f in BAD_EVALUATE_FLAGS])
 

@@ -125,6 +125,11 @@ def test_protocol_threshold_must_lie_in_unit_interval():
     assert Protocol(threshold=1).threshold == 1
 
 
+def test_protocol_seed_must_not_be_negative():
+    with pytest.raises(InvalidConfig, match="seed must be >= 0"):
+        Protocol(seed=-1)
+
+
 def test_evaluate_all_requires_positives():
     ensemble = OconEnsemble([keyed_subnet(1, 2), keyed_subnet(2, 2)], 2)
     samples = [(np.zeros(2), 2)]

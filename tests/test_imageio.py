@@ -89,8 +89,11 @@ def test_comment_may_precede_the_raster_delimiter():
 
 
 def test_bad_magic_rejected():
-    with pytest.raises(UnsupportedFormat):
-        parse_pgm(b"P6\n1 1\n255\n\x00")
+    # The magic is a whole token: "P2P" and "P27" are not P2.
+    for data in (b"P6\n1 1\n255\n\x00", b"P2P\n1 2\n255\n243\n88\n",
+                 b"P27\n 3 3\n255\n" + b"1 " * 9):
+        with pytest.raises(UnsupportedFormat, match="not a P5/P2"):
+            parse_pgm(data)
 
 
 def test_incomplete_header():
@@ -133,6 +136,32 @@ def test_ascii_negative_sample():
 def test_any_image_roundtrips(width, height, binary, seed):
     img = make_image(width, height, seed)
     assert same_image(parse_pgm(serialize_pgm(img, binary=binary)), img)
+
+
+WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+COMMENT = st.binary(max_size=6).map(lambda t: b"#" + t.replace(b"\n", b"") + b"\n")
+GAP = st.lists(st.one_of(WHITESPACE, COMMENT), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 5),
+    height=st.integers(1, 5),
+    binary=st.booleans(),
+    gaps=st.lists(GAP, min_size=3, max_size=3),
+    comments=st.lists(COMMENT, max_size=3),
+    delimiter=WHITESPACE,
+)
+def test_header_gaps_never_change_the_image(width, height, binary, gaps,
+                                            comments, delimiter):
+    # Any whitespace and comments between the header tokens, and comments
+    # before the delimiter byte, leave the parsed image as it is.
+    img = make_image(width, height)
+    magic, *tokens, payload = serialize_pgm(img, binary).split(b"\n", 3)
+    tokens = tokens[0].split() + tokens[1:]
+    data = (magic + b"".join(b"".join(g) + t for g, t in zip(gaps, tokens))
+            + b"".join(comments) + delimiter + payload)
+    assert same_image(parse_pgm(data), img)
 
 
 MUTATION = st.one_of(
@@ -323,3 +352,5 @@ def test_synthetic_validation():
         generate_synthetic(2, 0, 2, 8, seed=0)
     with pytest.raises(InvalidConfig):
         generate_synthetic(2, 2, 2, 3, seed=0)
+    with pytest.raises(InvalidConfig, match="seed must be >= 0"):
+        generate_synthetic(2, 2, 2, 8, seed=-1)

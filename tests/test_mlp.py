@@ -44,6 +44,9 @@ def test_config_validation():
         TrainingConfig(goal=0.0)
     with pytest.raises(InvalidConfig):
         TrainingConfig(max_epochs=0)
+    # A negative seed would fail every net of a lockstep stack at once.
+    with pytest.raises(InvalidConfig, match="seed must be >= 0"):
+        TrainingConfig(seed=-1)
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidConfig):
             TrainingConfig(learning_rate=bad)

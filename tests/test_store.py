@@ -1,6 +1,11 @@
 import pytest
 
-from facemlp.errors import ChecksumMismatch, FormatError, StoreError
+from facemlp.errors import (
+    ChecksumMismatch,
+    FormatError,
+    InvalidConfig,
+    StoreError,
+)
 from facemlp.store import (
     WeightStore,
     frame,
@@ -24,6 +29,17 @@ def test_frame_round_trip_and_checks():
         verify(BODY, "x")
     with pytest.raises(ChecksumMismatch):
         verify(raw.replace(b"0.25", b"0.26"), "x")
+
+
+def test_store_rejects_one_directory_listed_twice(tmp_path):
+    # Two names for one directory would hold one copy, not two replicas.
+    (tmp_path / "a").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "a")
+    for alias in (tmp_path / "a", tmp_path / "x" / ".." / "a",
+                  tmp_path / "link"):
+        with pytest.raises(InvalidConfig):
+            WeightStore((tmp_path / "a", tmp_path / "b", alias))
+    assert len(WeightStore((tmp_path / "a", tmp_path / "b")).roots) == 2
 
 
 def test_write_replicates_and_leaves_only_the_artifact(tmp_path):
