@@ -32,7 +32,7 @@ from .errors import (
 )
 from .imageio import downsample, load_manifest, generate_synthetic, to_vector, write_dataset
 from .mlp import TrainingConfig
-from .store import WeightStore, read_replicated, write_replicated
+from .store import WeightStore, read_each, write_replicated
 
 STORE_ENV = "FACEMLP_STORE"
 
@@ -74,14 +74,14 @@ def _load_vectors(data: str, factor: int):
     return split["train"], split["test"]
 
 
-def _check_flags(args, positive=(), paths=()) -> None:
-    """Reject, before any file is read, a flag below 1 and a path flag
-    given as "", which names no path: it must not mean the current or a
-    default directory."""
-    for flag in positive:
+def _check_flags(args, minimum: dict, paths=()) -> None:
+    """Reject, before any file is read, a flag below its minimum (minimum
+    maps a flag to it) and a path flag given as "", which names no path:
+    it must not mean the current or a default directory."""
+    for flag, low in minimum.items():
         value = getattr(args, flag)
-        if value is not None and value < 1:
-            raise InvalidConfig(f"--{flag} must be >= 1, got {value}")
+        if value is not None and value < low:
+            raise InvalidConfig(f"--{flag} must be >= {low}, got {value}")
     for flag in paths:
         if getattr(args, flag.replace("-", "_")) == "":
             raise InvalidConfig(f"--{flag} must name a path, got ''")
@@ -109,28 +109,57 @@ def _skipped(path: Path, exc: Exception) -> None:
     _warn(f"skipped replica {path}: {exc}")
 
 
+def _space_reader():
+    """load_eigenspace for one pass over a store: a replica whose bytes
+    equal those of one parsed before is that space, not parsed again."""
+    parsed = []
+
+    def read(path: Path):
+        raw = path.read_bytes()
+        space = next((s for seen, s in parsed if seen == raw), None)
+        if space is None:
+            space = load_eigenspace(path, raw)
+            parsed.append((raw, space))
+        return space
+    return read
+
+
 def _stored_eigenspace(store: WeightStore, train_vectors,
                        m: int | None = None):
-    """The store's eigenspace, or None when no root holds one.
+    """The store's eigenspace and the roots holding it, or (None, []) when
+    no root holds a valid replica. Each root's replica is read once.
 
-    A stored space built from another training matrix, or for train from
-    another requested m, is a configuration error rather than something
-    to rebuild or use: the store's weight files were trained on it.
-    evaluate passes no m and accepts the one the space was built with.
+    A valid replica built from another training matrix, or for train from
+    another requested m, is another space, and the weight files beside it
+    were trained on that space. train refuses such a store, naming the
+    root: it writes its space to every root, which would vouch for those
+    files. evaluate passes no m: it takes the first replica built from
+    train_vectors, at the m it was built with, and reads weights only from
+    the roots holding that space. It refuses the store only when no valid
+    replica was built from train_vectors.
     """
-    space = read_replicated(store, EIGENSPACE_FILENAME, load_eigenspace,
-                            _skipped)
-    if space is None:
-        return None
-    wanted = space.expected_fingerprint(train_vectors, m)
-    if space.fingerprint != wanted:
+    replicas = [(root, space) for root, space in read_each(
+        store, EIGENSPACE_FILENAME, _space_reader(), _skipped)
+        if space is not None]
+    expected, ours, others = {}, [], []
+    for root, space in replicas:
+        fp = space.fingerprint
+        if fp not in expected:      # one CRC of train_vectors per fingerprint
+            expected[fp] = space.expected_fingerprint(train_vectors, m)
+        (ours if fp == expected[fp] else others).append((root, space))
+    if others and (m is not None or not ours):
+        root, space = others[0]
         raise InvalidConfig(
-            f"stored eigenspace was built from other inputs (fingerprint "
-            f"{space.fingerprint}, this run {wanted}); use the --data, "
-            f"--downsample and (for train) --components it was built "
-            f"with, or train into a fresh --store"
+            f"stored eigenspace was built from other inputs "
+            f"({root / EIGENSPACE_FILENAME} has fingerprint "
+            f"{space.fingerprint}, this run {expected[space.fingerprint]}); "
+            f"use the --data, --downsample and (for train) --components it "
+            f"was built with, or train into a fresh --store"
         )
-    return space
+    if not ours:
+        return None, []
+    space = ours[0][1]
+    return space, [r for r, s in ours if s.fingerprint == space.fingerprint]
 
 
 def _write_traces(traces_dir: Path, traces) -> None:
@@ -147,7 +176,9 @@ def _write_traces(traces_dir: Path, traces) -> None:
 
 
 def cmd_synth(args) -> int:
-    _check_flags(args, paths=["out"])
+    # generate_synthetic checks these too, but cannot name the flags.
+    _check_flags(args, {"classes": 2, "train": 1, "test": 1, "side": 4,
+                        "seed": 0}, ["out"])
     samples = generate_synthetic(args.classes, args.train, args.test,
                                  args.side, args.seed)
     manifest = write_dataset(samples, Path(args.out))
@@ -161,11 +192,11 @@ def cmd_train(args) -> int:
                          momentum="--momentum", goal="--goal",
                          max_epochs="--max-epochs", seed="--seed")
     pool = _from_flags(parallel.PoolConfig, args, workers="--workers")
-    _check_flags(args, ["hidden", "components", "downsample"],
+    _check_flags(args, {"hidden": 1, "components": 1, "downsample": 1},
                  ["data", "traces-dir"])
     train_pairs, _ = _load_vectors(args.data, args.downsample)
     train_vectors = [v for v, _ in train_pairs]
-    space = _stored_eigenspace(store, train_vectors, args.components) \
+    space = _stored_eigenspace(store, train_vectors, args.components)[0] \
         or compute_eigenspace(train_vectors, args.components)
     features = [(project(space, v), c) for v, c in train_pairs]
     traces_dir = Path(args.traces_dir) if args.traces_dir \
@@ -211,11 +242,15 @@ def cmd_evaluate(args) -> int:
     protocol = _from_flags(evaluator.Protocol, args, n_pos="--n-pos",
                            n_neg="--n-neg", threshold="--threshold",
                            seed="--protocol-seed")
-    _check_flags(args, ["downsample"], ["data", "out"])
+    _check_flags(args, {"downsample": 1}, ["data", "out"])
     train_pairs, test_pairs = _load_vectors(args.data, args.downsample)
-    space = _stored_eigenspace(store, [v for v, _ in train_pairs])
+    space, roots = _stored_eigenspace(store, [v for v, _ in train_pairs])
     if space is None:
         raise StoreError(f"no valid {EIGENSPACE_FILENAME} in any store root")
+    for root in (r for r in store.roots if r not in roots):
+        _warn(f"left out root {root}: it holds no valid "
+              f"{EIGENSPACE_FILENAME} of fingerprint {space.fingerprint}")
+    store = WeightStore(tuple(roots))
     test_features = [(project(space, v), c) for v, c in test_pairs]
 
     if args.mode == "acon":

@@ -163,13 +163,13 @@ def save_eigenspace(space: Eigenspace, path: str | Path) -> None:
                      encode_eigenspace(space))
 
 
-def load_eigenspace(path: str | Path) -> Eigenspace:
+def load_eigenspace(path: str | Path, raw: bytes | None = None) -> Eigenspace:
     """Read and checksum-validate a space written by encode_eigenspace;
     the body must hold exactly d + m + m*d finite values and its final
-    newline."""
+    newline. raw, if given, is the file's bytes, already read."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        raw = path.read_bytes() if raw is None else raw
     except OSError as exc:
         raise FileError(f"cannot read eigenspace {path}: {exc}") from exc
     header, _, body = verify(raw, path).partition(b"\n")

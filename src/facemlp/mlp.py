@@ -154,9 +154,13 @@ class AconModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp may overflow for very negative z; the result saturates to 0 exactly.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+    """The logistic 1 / (1 + exp(-z)), in place; returns z. Run it under
+    np.errstate(over="ignore"): exp overflows for very negative z, and
+    the result saturates to 0 exactly."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 # The float64 values nearest 0 and 1, between which forward's output is held.
@@ -188,8 +192,9 @@ def forward(weights: Weights, x: np.ndarray) -> np.ndarray:
             f"input length {a.shape} does not match net input "
             f"{weights.weights[0].shape[1]}"
         )
-    for w, b in zip(weights.weights, weights.biases):
-        a = _sigmoid(w @ a + b)
+    with np.errstate(over="ignore"):
+        for w, b in zip(weights.weights, weights.biases):
+            a = _sigmoid(w @ a + b)
     # In float64, 1 + exp(-z) rounds to 1 for z above about 37 and exp
     # overflows for z below about -709, so a saturated output unit reads
     # exactly 1 or 0; the clamp keeps every output strictly inside (0, 1).
@@ -282,10 +287,7 @@ class _Stack:
         for (w, b), x, z in zip(self.layers, self.acts, self.acts[1:]):
             np.matmul(x, w.transpose(0, 2, 1), out=z)
             z += b
-            np.negative(z, out=z)
-            np.exp(z, out=z)
-            z += 1.0
-            np.divide(1.0, z, out=z)
+            _sigmoid(z)
         np.subtract(self.acts[-1], self.t, out=self.residual)
         squared = np.square(self.residual, out=self.deltas[-1])
         return (np.add.reduce(squared, axis=(1, 2)) / squared[0].size).tolist()

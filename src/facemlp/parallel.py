@@ -7,7 +7,9 @@ are spread. An OconRun holds the inputs, topology and config once, and
 each job only its class's targets, so a worker's jobs train as one
 lockstep stack (mlp.train_group), sharing NumPy's per-call overhead with
 no change to any net's arithmetic: processes split the classes, lockstep
-speeds up each process.
+speeds up each process. The calling process is the pool's last worker:
+it trains the last bucket while W - 1 forked processes train the others,
+so one worker forks nothing.
 
 The weight-file codec lives here too: persist and load encode and decode
 a net's text body, and facemlp.store frames it with its checksum,
@@ -93,8 +95,13 @@ class JobOutcome:
 
 def allocate(run: OconRun, pool: PoolConfig) -> list[list[TrainingJob]]:
     """Split the run's jobs round robin, job i to worker i mod W, over at
-    most one worker per job: every job trains on the same inputs, so
-    there is no task size to balance.
+    most one worker per job.
+
+    Every job's epoch costs the same, as all train on the run's inputs at
+    one topology, but its epoch count is unknown until it trains, so no
+    split made in advance balances the buckets. At the ORL shape (40
+    classes, seed 7) the nets took 471 to 1,517 epochs, and two buckets
+    got 12,568 and 16,498 net-epochs.
     """
     workers = min(pool.workers, len(run.jobs))
     return [run.jobs[w::workers] for w in range(workers)]
@@ -128,18 +135,16 @@ def run_pool(run: OconRun, pool: PoolConfig) -> list[JobOutcome]:
     jobs share no state, each is deterministic, and a job's arithmetic is
     the same whichever stack it trains in. A job that raises is reported
     in its outcome; the remaining jobs, those of its own stack included,
-    still complete.
+    still complete. The last bucket trains in this process while forked
+    processes train the others.
     """
-    if pool.workers == 1:
-        outcomes = _run_job_list(run, run.jobs)
-    else:
-        buckets = allocate(run, pool)
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=len(buckets),
-                                 mp_context=ctx) as executor:
-            futures = [executor.submit(_run_job_list, run, bucket)
-                       for bucket in buckets]
-            outcomes = [o for fut in futures for o in fut.result()]
+    *forked, own = allocate(run, pool)
+    ctx = multiprocessing.get_context("fork")
+    # A fork executor starts all max_workers processes at its first submit.
+    with ProcessPoolExecutor(len(forked) or 1, mp_context=ctx) as executor:
+        futures = [executor.submit(_run_job_list, run, b) for b in forked]
+        outcomes = _run_job_list(run, own)
+        outcomes += [o for fut in futures for o in fut.result()]
     outcomes.sort(key=lambda o: o.class_id)
     return outcomes
 

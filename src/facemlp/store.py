@@ -99,23 +99,34 @@ def write_replicated(store: WeightStore, filename: str,
     return outcome
 
 
-def read_replicated(store: WeightStore, filename: str, read: Callable,
-                    on_skip: Callable | None = None):
-    """The first replica of filename, in root order, that read accepts.
+def read_each(store: WeightStore, filename: str, read: Callable,
+              on_skip: Callable | None = None):
+    """Yield (root, replica) for each root in order: filename in that
+    root as read decodes it, or None when it has no usable one.
 
     read(path) reads one replica, verifies its trailer and decodes it,
     raising OSError or a FacemlpError when it cannot. A root without the
-    file is passed over silently, as a fresh store has none; every other
-    replica passed over is reported as on_skip(path, exception). Returns
-    None when no root holds a usable replica.
+    file yields None silently, as a fresh store has none; every other
+    replica passed over is reported as on_skip(path, exception).
     """
     for root in store.roots:
         path = root / filename
-        if not path.exists():
-            continue
-        try:
-            return read(path)
-        except (OSError, FacemlpError) as exc:
-            if on_skip is not None:
-                on_skip(path, exc)
-    return None
+        replica = None
+        if path.exists():
+            try:
+                replica = read(path)
+            except (OSError, FacemlpError) as exc:
+                if on_skip is not None:
+                    on_skip(path, exc)
+        yield root, replica
+
+
+def read_replicated(store: WeightStore, filename: str, read: Callable,
+                    on_skip: Callable | None = None):
+    """The first replica of filename, in root order, that read accepts,
+    as read_each reads them; no later root is read. Returns None when no
+    root holds a usable replica.
+    """
+    return next((replica for _, replica
+                 in read_each(store, filename, read, on_skip)
+                 if replica is not None), None)

@@ -190,6 +190,22 @@ def test_synth_bad_flag_is_config_error(tmp_path, monkeypatch, capsys, flag,
     assert not list(tmp_path.iterdir())
 
 
+# Each case is a synth flag and a value below its minimum.
+BAD_SYNTH_FLAGS = [("--classes", "1"), ("--train", "0"), ("--test", "0"),
+                   ("--side", "3"), ("--seed", "-1")]
+
+
+@pytest.mark.parametrize("flag, value", BAD_SYNTH_FLAGS)
+def test_synth_out_of_range_flag_names_it(tmp_path, capsys, flag, value):
+    code, out, err = run_main(capsys, "synth", "--out",
+                              str(tmp_path / "data"), *DATASET, flag, value)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {flag} ")
+    assert line.endswith(f", got {value}")
+    assert not (tmp_path / "data").exists()
+
+
 def test_train_with_worker_pool(tmp_path):
     data = synth(tmp_path)
     store = store_arg(tmp_path, ("pool",))
@@ -526,10 +542,20 @@ def test_any_single_byte_mutation_keeps_evaluate_output(trained, name, root,
 
 def damage(path: Path, how: str) -> None:
     """Break one artifact or data file: remove it, put a directory in its
-    place, cut it to half its length, or set one value to NaN with the
-    checksum recomputed, so that only the value is wrong."""
+    place, cut it to half its length, set one value to NaN with the
+    checksum recomputed, so that only the value is wrong, or put in its
+    place, and in place of its root's eigenspace, the replicas of a build
+    on other data."""
     raw = path.read_bytes()
-    if how == "missing":
+    if how == "another-build":
+        base = path.parent.parent
+        other, build = base / "other-data", base / "other-build"
+        assert main(["synth", "--out", str(other), *DATASET[:-1], "4"]) == 0
+        mode = "acon" if path.name == "acon.wts" else "ocon"
+        assert run_train(base, other, str(build), "--mode", mode) == 0
+        for name in (path.name, "eigenspace.txt"):
+            shutil.copyfile(build / name, path.parent / name)
+    elif how == "missing":
         path.unlink()
     elif how == "directory":
         path.unlink()
@@ -562,7 +588,12 @@ STORE_FAULTS = [(name, mode, how, roots)
                                    ("class_1.wts", "ocon"),
                                    ("acon.wts", "acon")]
                 for how in ["missing", "directory", "truncated", "nan"]
-                for roots in ["first", "both"]]
+                for roots in ["first", "both"]] + [
+    # A root of another build is left out. With every root of another
+    # build, no space of the data is stored: that exits 2, as
+    # test_evaluate_rejects_an_eigenspace_of_other_inputs checks.
+    ("class_1.wts", "ocon", "another-build", "first"),
+    ("acon.wts", "acon", "another-build", "first")]
 
 
 @pytest.mark.parametrize("name, mode, how, roots", STORE_FAULTS)
@@ -630,6 +661,49 @@ def test_evaluate_rejects_an_eigenspace_of_other_inputs(tmp_path, capsys):
     assert captured.out == ""
     assert "error: stored eigenspace was built from other inputs" \
         in captured.err
+
+
+def two_builds(tmp_path) -> Path:
+    """Root a trained on one 5-class data set and root b on another, each
+    at 20 components; returns a's data set."""
+    for seed, root in (("2", "a"), ("1", "b")):
+        data = tmp_path / f"data{seed}"
+        assert main(["synth", "--out", str(data), "--classes", "5",
+                     "--train", "10", "--test", "10", "--seed", seed]) == 0
+        assert main(["train", "--data", str(data), "--store",
+                     str(tmp_path / root), "--components", "20"]) == 0
+    return tmp_path / "data2"
+
+
+def test_evaluate_reads_no_weights_of_a_root_of_another_space(tmp_path,
+                                                              capsys):
+    # b's class files were trained on b's own space: once a's class 3 is
+    # corrupt, evaluate must not score b's class 3 through a's space.
+    data = two_builds(tmp_path)
+    flip_byte(tmp_path / "a" / "class_3.wts", 40)
+    code, out, err = run_main(capsys, "evaluate", "--data", str(data),
+                              "--store", store_arg(tmp_path, ("a", "b")))
+    assert code == 3
+    rows = {line.split()[0]: line for line in out.splitlines()[2:7]}
+    assert rows["3"].endswith("error: weights unavailable")
+    assert all(rows[c].endswith(" 100%") for c in "1245")
+    assert f"left out root {tmp_path / 'b'}:" in err
+
+
+def test_train_refuses_a_store_holding_another_space(tmp_path, capsys):
+    # Writing this run's space to b would vouch for b's class files, which
+    # were trained on b's own space.
+    data = two_builds(tmp_path)
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    code, out, err = run_main(capsys, "train", "--mode", "acon", "--data",
+                              str(data), "--store",
+                              store_arg(tmp_path, ("a", "b")),
+                              "--components", "20")
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and str(tmp_path / "b") in line
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+            if p.is_file()} == files
 
 
 @pytest.mark.parametrize("mode", ["ocon", "acon"])

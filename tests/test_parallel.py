@@ -1,3 +1,4 @@
+import multiprocessing
 import pickle
 from dataclasses import replace
 
@@ -114,6 +115,28 @@ def test_run_pool_parallel_equals_sequential():
         for x, y in zip(a.model.weights.weights, b.model.weights.weights):
             assert np.array_equal(x, y)
         assert a.model.trace.mse_history == b.model.trace.mse_history
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_pool_forks_one_process_fewer_than_its_workers(monkeypatch,
+                                                           workers):
+    # The calling process trains the last bucket, so W workers start W - 1
+    # processes and one worker starts none; the outcomes stay the same.
+    reference = run_pool(make_jobs(4), PoolConfig(workers=1))
+    started = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counting_start(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                        counting_start)
+    outcomes = run_pool(make_jobs(4), PoolConfig(workers=workers))
+    assert len(started) == workers - 1
+    assert [o.class_id for o in outcomes] == [1, 2, 3, 4]
+    for a, b in zip(reference, outcomes):
+        assert same_models(a.model, b.model)
 
 
 # Targets whose squared error is non-finite on the first update.
