@@ -263,6 +263,8 @@ def cmd_evaluate(args) -> int:
             except WeightsUnavailable as exc:
                 models[cid] = None
                 _warn(exc)
+        if not any(models.values()):
+            raise StoreError("no valid replica of any class's weights in any root")
 
     report = evaluator.evaluate_all(models, test_features, protocol)
     text = evaluator.render_report(report, args.format)

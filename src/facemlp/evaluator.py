@@ -11,7 +11,7 @@ regardless of earlier results.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class EvaluationReport:
 
     mode: str
     per_class: list[ClassResult]
-    traces: list[tuple[str, TrainingTrace]] = field(default_factory=list)
 
     @property
     def average_rate(self) -> float:
@@ -123,7 +122,6 @@ def evaluate_all(models, test_samples,
     if isinstance(models, AconModel):
         mode = "ACON"
         table = [(cid, models) for cid in models.class_ids]
-        traces = [("acon", models.trace)] if models.trace else []
 
         def accepts(cid, model, f) -> bool:
             return classify_acon(model, f)[0] == cid
@@ -136,8 +134,6 @@ def evaluate_all(models, test_samples,
             raise TypeError(f"cannot evaluate {type(models).__name__}")
         mode = "OCON"
         table = [(cid, by_id[cid]) for cid in sorted(by_id)]
-        traces = [(f"class {cid}", m.trace) for cid, m in table
-                  if m is not None and m.trace is not None]
 
         def accepts(cid, model, f) -> bool:
             return verify(forward(model.weights, f)[0], protocol.threshold)
@@ -150,14 +146,14 @@ def evaluate_all(models, test_samples,
         else:
             rows.append(_tally(cid, lambda f: accepts(cid, model, f),
                                pos, neg))
-    return EvaluationReport(mode, rows, traces)
+    return EvaluationReport(mode, rows)
 
 
 def render_report(report: EvaluationReport, format: str = "table") -> str:
     """Render per-class rows plus the average.
 
     table: aligned columns (class, test images, positives, negatives,
-    rate as whole percent) followed by a trace summary.
+    rate as whole percent).
     csv: header class_id,n_test,n_pos,n_neg,correct,rate_percent with
     full-precision rates and a final average row; errored classes leave
     correct/rate empty.
@@ -182,13 +178,6 @@ def render_report(report: EvaluationReport, format: str = "table") -> str:
             lines.append(f"{r.class_id:>5}  {'-':>4}  {'-':>3}  {'-':>3}  "
                          f"error: {r.error}")
     lines.append(f"average rate: {report.average_rate!r}%")
-    if report.traces:
-        lines.append("")
-        lines.append("training traces")
-        for name, trace in report.traces:
-            status = "goal met" if trace.goal_met else "goal not met"
-            lines.append(f"{name}: epochs={trace.epochs_run} "
-                         f"final_mse={trace.final_mse:.6g} {status}")
     return "\n".join(lines) + "\n"
 
 

@@ -170,13 +170,14 @@ def load_manifest(path: str | Path) -> tuple[list[Path], list[Sample]]:
     Each non-empty, non-comment line reads `path<TAB>class_id<TAB>role`
     with role in {train, test}. Paths resolve relative to the manifest's
     directory. Returns each record's image path and its Sample, as two
-    lists in record order. A FileError for an unreadable image and
-    parse_pgm's error for a malformed one name the image's path.
+    lists in record order. A FileError for an unreadable or non-UTF-8
+    manifest names it; one for an unreadable image and parse_pgm's error
+    for a malformed one name the image's path.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileError(f"cannot read manifest {path}: {exc}") from exc
 
     records: list[tuple[Path, int, str]] = []

@@ -356,7 +356,7 @@ def train(topology: Topology, inputs: np.ndarray, targets: np.ndarray,
 
 def train_group(topology: Topology, inputs: np.ndarray, targets: list,
                 config: TrainingConfig,
-                seeds: list) -> list[tuple[Weights, TrainingTrace] | Exception]:
+                seeds: list) -> list[tuple[Weights, TrainingTrace] | Diverged]:
     """Train one fresh network per (targets, seed) pair, all in lockstep.
 
     Every net reads inputs, one (n, input size) float64 array, against its
@@ -370,13 +370,14 @@ def train_group(topology: Topology, inputs: np.ndarray, targets: list,
     do for it alone with that seed, so its weights and mse_history do not
     depend on which other nets share the group.
 
-    Returns one entry per net, in order: (weights, trace), or the exception
-    that net raised (DimensionMismatch, ValueError or TypeError for bad
-    targets, Diverged for a non-finite MSE). Raises InvalidConfig if the
-    target sets and seeds differ in count, and DimensionMismatch if inputs
-    is not a non-empty (n, input size) matrix. This is the group's one clock:
-    a net's share of the training time, in proportion to its epochs, is
-    its trace's or its Diverged's wall_time, so the shares sum to it.
+    Returns one entry per net, in order: (weights, trace), or Diverged for
+    a net whose MSE stops being finite; that is the only failure of one
+    net. Before any net trains, the group fails as a whole: InvalidConfig
+    if the target sets and seeds differ in count, DimensionMismatch if
+    inputs is not a non-empty (n, input size) matrix or a target set is
+    not (n, output size). This is the group's one clock: a net's share of
+    the training time, in proportion to its epochs, is its trace's or its
+    Diverged's wall_time, so the shares sum to it.
     """
     if len(targets) != len(seeds):
         raise InvalidConfig(f"{len(targets)} target sets for {len(seeds)} seeds")
@@ -385,27 +386,18 @@ def train_group(topology: Topology, inputs: np.ndarray, targets: list,
         raise DimensionMismatch(f"inputs shape {shape}, expected (n, "
                                 f"{topology.input_size}) with n >= 1")
     wanted = (shape[0], topology.output_size)
-    results: list = [None] * len(targets)
-    members, ts = [], []
-    for i, t in enumerate(targets):
-        try:
-            t = np.asarray(t, dtype=np.float64)
-            if t.shape != wanted:
-                raise DimensionMismatch(f"target shape {t.shape}, expected {wanted}")
-        except (TypeError, ValueError, DimensionMismatch) as exc:
-            results[i] = exc
-            continue
-        members.append(i)
-        ts.append(t)
-    if not members:
-        return results
+    ts = [np.asarray(t, dtype=np.float64) for t in targets]
+    for i, t in enumerate(ts):
+        if t.shape != wanted:
+            raise DimensionMismatch(f"target set {i} shape {t.shape}, expected {wanted}")
 
     started = time.perf_counter()
-    params = np.stack([_flat(init_weights(topology, seeds[i])) for i in members])
+    params = np.stack([_flat(init_weights(topology, s)) for s in seeds])
     stack = _Stack(topology.layer_sizes, params, inputs, np.stack(ts))
 
-    active = members            # results index of each stack slot
-    histories = {i: [] for i in members}
+    results: list = [None] * len(ts)
+    active = list(range(len(ts)))   # results index of each stack slot
+    histories = [[] for _ in ts]
     epoch = 0
     with np.errstate(over="ignore"):
         stack.forward()
@@ -429,8 +421,8 @@ def train_group(topology: Topology, inputs: np.ndarray, targets: list,
                 stack.keep(keep)
 
     elapsed = time.perf_counter() - started
-    total = sum(len(h) for h in histories.values())
-    for i in members:
-        timed = results[i] if isinstance(results[i], Diverged) else results[i][1]
-        timed.wall_time = elapsed * len(histories[i]) / total
+    total = sum(len(h) for h in histories)
+    for result, history in zip(results, histories):
+        timed = result if isinstance(result, Diverged) else result[1]
+        timed.wall_time = elapsed * len(history) / total
     return results

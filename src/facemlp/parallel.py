@@ -9,7 +9,8 @@ lockstep stack (mlp.train_group), sharing NumPy's per-call overhead with
 no change to any net's arithmetic: processes split the classes, lockstep
 speeds up each process. The calling process is the pool's last worker:
 it trains the last bucket while W - 1 forked processes train the others,
-so one worker forks nothing.
+so one worker forks nothing. A net fails alone only by diverging; any
+other failure fails its bucket, wherever the bucket ran.
 
 The weight-file codec lives here too: persist and load encode and decode
 a net's text body, and facemlp.store frames it with its checksum,
@@ -26,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfig, StoreError, WeightsUnavailable
+from .errors import (DimensionMismatch, FormatError, InvalidConfig,
+                     StoreError, WeightsUnavailable)
 from .mlp import (AconModel, ClassModel, Topology, TrainingConfig, Weights,
                   train_group, unflatten)
 from .store import (
@@ -53,6 +55,9 @@ class OconRun:
     """The pool's input: the (n, d) training matrix, the topology and the
     config every OCON net shares, and one job per class. Job c trains
     from seed config.seed + c, so retraining one class disturbs no other.
+    A job whose targets are not an (n, 1) column over the n inputs fails
+    the whole run as it is built, so it cannot fail differently at
+    different worker counts.
     """
 
     inputs: np.ndarray
@@ -64,8 +69,13 @@ class OconRun:
         ids = [j.class_id for j in self.jobs]
         if not ids or len(set(ids)) != len(ids):
             raise InvalidConfig(f"a run needs one job per class, got ids {ids}")
-        if not len(self.inputs):
+        wanted = (len(self.inputs), 1)
+        if not wanted[0]:
             raise InvalidConfig("run has no samples")
+        for job in self.jobs:
+            if np.shape(job.targets) != wanted:
+                raise DimensionMismatch(f"class {job.class_id} targets shape "
+                                        f"{np.shape(job.targets)}, expected {wanted}")
 
 
 @dataclass(frozen=True)
@@ -110,18 +120,15 @@ def allocate(run: OconRun, pool: PoolConfig) -> list[list[TrainingJob]]:
 def _run_job_list(run: OconRun, jobs: list[TrainingJob]):
     """Run a bucket of the run's jobs into one JobOutcome each, in order.
 
-    Never raises, so one failure cannot sink a batch: a job's exception
-    is kept in its outcome. The jobs train as one lockstep stack through
-    a single train_group call at the run's topology, inputs and config,
-    each from seed config.seed + class_id; its per-net time shares are
-    the outcomes' compute_seconds.
+    The jobs train as one lockstep stack through a single train_group
+    call at the run's topology, inputs and config, each from seed
+    config.seed + class_id; its per-net time shares are the outcomes'
+    compute_seconds. A net that diverges keeps its Diverged in its
+    outcome; any other exception is the bucket's, for run_pool to catch.
     """
-    try:
-        trained = train_group(run.topology, run.inputs,
-                              [j.targets for j in jobs], run.config,
-                              [run.config.seed + j.class_id for j in jobs])
-    except Exception as exc:    # captured per job, reported in outcome
-        trained = [exc] * len(jobs)
+    trained = train_group(run.topology, run.inputs,
+                          [j.targets for j in jobs], run.config,
+                          [run.config.seed + j.class_id for j in jobs])
     return [JobOutcome(job.class_id, exception=result)
             if isinstance(result, Exception)
             else JobOutcome(job.class_id, ClassModel(job.class_id, *result))
@@ -133,18 +140,25 @@ def run_pool(run: OconRun, pool: PoolConfig) -> list[JobOutcome]:
 
     Worker count never changes the trained weights, only the wall time:
     jobs share no state, each is deterministic, and a job's arithmetic is
-    the same whichever stack it trains in. A job that raises is reported
-    in its outcome; the remaining jobs, those of its own stack included,
-    still complete. The last bucket trains in this process while forked
-    processes train the others.
+    the same whichever stack it trains in. The last bucket trains in this
+    process while forked processes train the others. A diverging net
+    fails alone. Any other failure, the bucket's exception or
+    BrokenProcessPool when a forked process died, goes into each of the
+    bucket's outcomes; a dead process breaks the whole executor, so every
+    forked bucket fails while this process's bucket stands.
     """
     *forked, own = allocate(run, pool)
     ctx = multiprocessing.get_context("fork")
     # A fork executor starts all max_workers processes at its first submit.
     with ProcessPoolExecutor(len(forked) or 1, mp_context=ctx) as executor:
         futures = [executor.submit(_run_job_list, run, b) for b in forked]
-        outcomes = _run_job_list(run, own)
-        outcomes += [o for fut in futures for o in fut.result()]
+        outcomes = []
+        for bucket, gather in [(own, lambda: _run_job_list(run, own)),
+                               *zip(forked, (f.result for f in futures))]:
+            try:
+                outcomes += gather()
+            except Exception as exc:    # the bucket's: each job reports it
+                outcomes += [JobOutcome(j.class_id, exception=exc) for j in bucket]
     outcomes.sort(key=lambda o: o.class_id)
     return outcomes
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facemlp import parallel
 from facemlp.cli import main
 from facemlp.errors import FacemlpError
 from facemlp.imageio import GrayImage, serialize_pgm
@@ -542,10 +544,10 @@ def test_any_single_byte_mutation_keeps_evaluate_output(trained, name, root,
 
 def damage(path: Path, how: str) -> None:
     """Break one artifact or data file: remove it, put a directory in its
-    place, cut it to half its length, set one value to NaN with the
-    checksum recomputed, so that only the value is wrong, or put in its
-    place, and in place of its root's eigenspace, the replicas of a build
-    on other data."""
+    place, cut it to half its length, put bytes that are not UTF-8 at its
+    start, set one value to NaN with the checksum recomputed, so that only
+    the value is wrong, or put in its place, and in place of its root's
+    eigenspace, the replicas of a build on other data."""
     raw = path.read_bytes()
     if how == "another-build":
         base = path.parent.parent
@@ -562,6 +564,8 @@ def damage(path: Path, how: str) -> None:
         path.mkdir()
     elif how == "truncated":
         path.write_bytes(raw[: len(raw) // 2])
+    elif how == "binary":
+        path.write_bytes(b"\xff\xfe" + raw)
     elif path.name == "eigenspace.txt":        # its last basis value
         body = verify(raw, path)
         path.write_bytes(frame(body[:-9] + np.float64(np.nan).tobytes()
@@ -623,6 +627,7 @@ def test_store_fault_matrix(trained, tmp_path, capsys, name, mode, how,
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 @pytest.mark.parametrize("victim, how", [
     ("manifest.tsv", "missing"), ("manifest.tsv", "directory"),
+    ("manifest.tsv", "binary"),
     ("class01_train000.pgm", "missing"),
     ("class01_train000.pgm", "directory"),
     ("class01_train000.pgm", "truncated")])
@@ -639,9 +644,72 @@ def test_dataset_fault_matrix(trained, tmp_path, capsys, command, victim,
     assert (code, out) == (1, "")
     [line] = err.splitlines()
     assert line.startswith("error: ")
-    if victim.endswith(".pgm"):
-        assert str(copy / victim) in line
+    assert str(copy / victim) in line
     assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_an_image_given_as_the_manifest_is_one_error(trained, tmp_path,
+                                                     capsys, command):
+    data, roots, _ = trained
+    image = data / "class01_train000.pgm"
+    store = ":".join(str(r) for r in roots) if command == "evaluate" \
+        else store_arg(tmp_path, ("fresh",))
+    code, out, err = run_main(capsys, command, "--data", str(image),
+                              "--store", store)
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"error: cannot read manifest {image}: ")
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_evaluate_ocon_without_any_class_weights_is_fatal(trained, tmp_path,
+                                                         capsys):
+    # Only acon.wts is stored: no class is left to score, so this is no
+    # partial failure (exit 3) but the run's, as for a missing acon.wts.
+    data, roots, _ = trained
+    copies = [shutil.copytree(r, tmp_path / r.name) for r in roots]
+    for root in copies:
+        for path in root.glob("class_*.wts"):
+            path.unlink()
+    code, out, err = run_main(capsys, "evaluate", "--data", str(data),
+                              "--store", ":".join(str(r) for r in copies))
+    assert (code, out) == (1, "")
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_train_stores_this_process_nets_when_a_worker_dies(tmp_path, capsys,
+                                                           monkeypatch):
+    # At 2 workers, classes 1 and 3 train in a forked process and class 2
+    # in this one. The fork dies: its classes fail (exit 3), class 2 is
+    # stored as a clean run stores it, and no traceback escapes.
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--classes", "3",
+                 *DATASET[2:]]) == 0
+    assert run_train(tmp_path, data, store_arg(tmp_path, ("clean",))) == 0
+    parent, real = os.getpid(), parallel.train_group
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args)
+
+    monkeypatch.setattr(parallel, "train_group", dying)
+    code, out, err = run_main(capsys, "train", "--data", str(data),
+                              "--store", store_arg(tmp_path), *SPEED,
+                              "--workers", "2")
+    assert code == 3
+    assert "Traceback" not in err
+    assert [line.split(":")[0] for line in err.splitlines()
+            if "training failed" in line] == ["class 1", "class 3"]
+    assert out.startswith("class 2: ")
+    for root in ("ra", "rb"):
+        assert sorted(p.name for p in (tmp_path / root).glob("*.wts")) \
+            == ["class_2.wts"]
+        for name in ("class_2.wts", "eigenspace.txt"):
+            assert (tmp_path / root / name).read_bytes() \
+                == (tmp_path / "clean" / name).read_bytes()
 
 
 def test_evaluate_rejects_an_eigenspace_of_other_inputs(tmp_path, capsys):

@@ -243,15 +243,6 @@ def test_table_and_csv_agree():
     assert "100%" in table and ",100.0" in csv
 
 
-def test_render_traces_report_goal_status():
-    report = evaluate_all(acon_identity(2), keyed_features(2, [0, 0]))
-    report.traces = [("acon", fake_trace(goal_met=False, epochs=3,
-                                         final=0.01))]
-    text = render_report(report, "table")
-    assert "goal not met" in text
-    assert "epochs=3" in text
-
-
 def test_render_errored_row():
     table = {1: keyed_subnet(1, 2), 2: None}
     report = evaluate_all(table, keyed_features(2, [0, 0]))

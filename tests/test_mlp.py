@@ -340,16 +340,20 @@ def test_gradients_match_reference():
 
 
 def test_train_group_isolates_bad_batches():
+    # A target set of the wrong width fails the whole group before any
+    # net trains; without it, the group's nets train as they would alone.
     wide = np.zeros((4, 2))                 # wrong target width
     cfg = TrainingConfig(learning_rate=0.5, goal=1e-2, max_epochs=300, seed=1)
-    results = train_group(Topology((2, 4, 1)), XOR_X, [XOR_T, wide, XOR_T],
-                          cfg, [1, 1, 2])
-    assert isinstance(results[1], DimensionMismatch)
+    with pytest.raises(DimensionMismatch, match="target set 1 shape"):
+        train_group(Topology((2, 4, 1)), XOR_X, [XOR_T, wide, XOR_T], cfg,
+                    [1, 1, 2])
+    results = train_group(Topology((2, 4, 1)), XOR_X, [XOR_T, XOR_T], cfg,
+                          [1, 2])
     weights, trace = results[0]
     alone, alone_trace = train(Topology((2, 4, 1)), XOR_X, XOR_T, cfg)
     assert_same_weights(weights, alone)
     assert trace.mse_history == alone_trace.mse_history
-    assert results[2][1].epochs_run > 0
+    assert results[1][1].epochs_run > 0
 
 
 def test_train_group_wall_time_shared_by_epochs():
@@ -365,12 +369,12 @@ def test_train_group_wall_time_shared_by_epochs():
 
 
 def test_train_group_rejects_mixed_sample_counts():
-    # Targets for another sample count fail only their own net; a missing
-    # seed fails the group.
+    # Targets for another sample count, like a missing seed, fail the
+    # whole group.
     cfg = TrainingConfig(max_epochs=5)
-    ok, short = train_group(Topology((2, 3, 1)), XOR_X, [XOR_T, XOR_T[:3]],
-                            cfg, [0, 0])
-    assert ok[1].epochs_run == 5 and isinstance(short, DimensionMismatch)
+    with pytest.raises(DimensionMismatch, match=r"\(3, 1\), expected \(4, 1\)"):
+        train_group(Topology((2, 3, 1)), XOR_X, [XOR_T, XOR_T[:3]], cfg,
+                    [0, 0])
     with pytest.raises(InvalidConfig):
         train_group(Topology((2, 3, 1)), XOR_X, [XOR_T], cfg, [0, 0])
 

@@ -1,5 +1,7 @@
 import multiprocessing
+import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -259,24 +261,82 @@ def test_ocon_weights_identical_across_worker_counts(classes, seed):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failures_stay_isolated_inside_a_lockstep_group(workers):
-    # Round robin over 2 workers puts jobs 1 and 3 in one bucket, so the
-    # diverging job 3 and the bad-target job 4 share groups with good jobs
-    # at either worker count. Each good net must equal the same net
-    # trained alone from its own seed, config.seed + class_id.
-    run = make_jobs(5, {3: DIVERGING, 4: np.zeros((6, 2))})
+    # Round robin over 2 workers puts jobs 1, 3 and 5 in one bucket, so
+    # the diverging job 3 shares a group with good jobs at either worker
+    # count. Each good net must equal the same net trained alone from its
+    # own seed, config.seed + class_id. A job with bad targets fails the
+    # run as it is built, whatever the worker count.
+    with pytest.raises(DimensionMismatch, match="class 4 targets shape"):
+        make_jobs(5, {3: DIVERGING, 4: np.zeros((6, 2))})
+    run = make_jobs(5, {3: DIVERGING})
     outcomes = run_pool(run, PoolConfig(workers=workers))
     assert isinstance(outcomes[2].exception, Diverged)
     assert outcomes[2].exception.epoch == 1
-    assert isinstance(outcomes[3].exception, DimensionMismatch)
     for job, outcome in zip(run.jobs, outcomes):
-        if job.class_id in (3, 4):
+        if job.class_id == 3:
             assert outcome.model is None
             continue
         weights, trace = train(TOPO, INPUTS, job.targets,
                                replace(CFG, seed=CFG.seed + job.class_id))
         alone = ClassModel(job.class_id, weights, trace)
         assert same_models(outcome.model, alone)
-    assert all(o.compute_seconds > 0 for o in outcomes if o.class_id != 4)
+    assert all(o.compute_seconds > 0 for o in outcomes)
+
+
+@pytest.mark.parametrize("targets", [np.zeros((6, 2)), np.zeros((5, 1)),
+                                     np.zeros(6)],
+                         ids=["wide", "short", "vector"])
+def test_run_rejects_targets_that_are_not_a_column_over_its_inputs(targets):
+    with pytest.raises(DimensionMismatch, match=r"expected \(6, 1\)"):
+        make_jobs(3, {2: targets})
+
+
+@pytest.mark.parametrize("first", [1, 2], ids=["forked", "own"])
+def test_a_bucket_that_raises_fails_each_of_its_jobs(monkeypatch, first):
+    # A failure that is not one net's divergence belongs to the bucket:
+    # every job of the bucket reports it, the other bucket completes. At 2
+    # workers jobs 1 and 3 train in a fork, jobs 2 and 4 in this process.
+    reference = run_pool(make_jobs(4), PoolConfig(workers=1))
+    real = parallel.train_group
+
+    def failing(topology, inputs, targets, config, seeds):
+        if seeds[0] == CFG.seed + first:
+            raise MemoryError("no room for the stack")
+        return real(topology, inputs, targets, config, seeds)
+
+    monkeypatch.setattr(parallel, "train_group", failing)
+    outcomes = run_pool(make_jobs(4), PoolConfig(workers=2))
+    assert [o.class_id for o in outcomes] == [1, 2, 3, 4]
+    for a, b in zip(reference, outcomes):
+        if b.class_id in (first, first + 2):
+            assert b.model is None and isinstance(b.exception, MemoryError)
+            assert b.compute_seconds == 0.0
+        else:
+            assert same_models(a.model, b.model)
+
+
+def test_a_dead_worker_fails_only_the_forked_buckets(monkeypatch):
+    # A forked process that dies breaks the executor: each forked job
+    # reports BrokenProcessPool, while the nets this process trained stand
+    # byte for byte. The fork inherits the patched train_group.
+    reference = run_pool(make_jobs(5), PoolConfig(workers=1))
+    parent, real = os.getpid(), parallel.train_group
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args)
+
+    monkeypatch.setattr(parallel, "train_group", dying)
+    outcomes = run_pool(make_jobs(5), PoolConfig(workers=2))
+    assert [o.class_id for o in outcomes] == [1, 2, 3, 4, 5]
+    for a, b in zip(reference, outcomes):
+        if b.class_id % 2:              # jobs 1, 3, 5: the forked bucket
+            assert b.model is None
+            assert isinstance(b.exception, BrokenProcessPool)
+        else:
+            assert b.exception is None
+            assert same_models(a.model, b.model)
 
 
 def test_run_pool_rejects_duplicate_ids():
