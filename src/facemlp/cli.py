@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import evaluator, parallel
-from .classifiers import (ACON_HIDDEN, DEFAULT_THRESHOLD, OCON_HIDDEN,
+from .classifiers import (ACON_HIDDEN, OCON_HIDDEN,
                           build_ocon_jobs, train_acon)
 from .eigenspace import (
     DEFAULT_COMPONENTS,
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train and persist the networks")
     data_store_flags(train)
     train.add_argument("--mode", choices=("ocon", "acon"), default="ocon")
-    train.add_argument("--workers", type=int, default=1)
+    train.add_argument("--workers", type=int, default=parallel.PoolConfig.workers)
     train.add_argument("--hidden", type=int, default=None,
                        help=f"hidden units (default {OCON_HIDDEN} ocon, "
                             f"{ACON_HIDDEN} acon)")
@@ -321,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--max-epochs", type=int, default=20000,
                        help="epoch cap (700000 to match the original "
                             "experiments)")
-    train.add_argument("--lr", type=float, default=0.05)
-    train.add_argument("--momentum", type=float, default=0.9)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--lr", type=float, default=TrainingConfig.learning_rate)
+    train.add_argument("--momentum", type=float, default=TrainingConfig.momentum)
+    train.add_argument("--seed", type=int, default=TrainingConfig.seed)
     train.add_argument("--traces-dir", default=None,
                        help="where to write per-network epoch,mse CSVs "
                             "(default: <first root>/traces)")
@@ -333,10 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     data_store_flags(ev)
     ev.add_argument("--mode", choices=("ocon", "acon"), default="ocon")
     ev.add_argument("--format", choices=("table", "csv"), default="table")
-    ev.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    ev.add_argument("--n-pos", type=int, default=evaluator.DEFAULT_N_POS)
-    ev.add_argument("--n-neg", type=int, default=evaluator.DEFAULT_N_NEG)
-    ev.add_argument("--protocol-seed", type=int, default=0)
+    ev.add_argument("--threshold", type=float, default=evaluator.Protocol.threshold)
+    ev.add_argument("--n-pos", type=int, default=evaluator.Protocol.n_pos)
+    ev.add_argument("--n-neg", type=int, default=evaluator.Protocol.n_neg)
+    ev.add_argument("--protocol-seed", type=int, default=evaluator.Protocol.seed)
     ev.add_argument("--out", default=None, help="write report here instead "
                                                 "of stdout")
     ev.set_defaults(func=cmd_evaluate)

@@ -99,8 +99,10 @@ def compute_eigenspace(train_vectors: list[np.ndarray] | np.ndarray,
     Centers the vectors, eigendecomposes the n x n Gram matrix, and lifts
     each kept Gram eigenvector to a unit-length eigenface. Keeps
     min(m, n - 1) components, dropping any whose covariance eigenvalue is
-    negligible (<= 1e-12). Each basis vector is flipped so its
-    largest-magnitude entry is positive, making runs comparable.
+    negligible (<= 1e-12); raises InsufficientData when that drops them
+    all, as for identical vectors, which have no variance to project on.
+    Each basis vector is flipped so its largest-magnitude entry is
+    positive, making runs comparable.
     """
     if len(train_vectors) < 2:
         raise InsufficientData("need at least 2 training vectors")
@@ -118,6 +120,9 @@ def compute_eigenspace(train_vectors: list[np.ndarray] | np.ndarray,
     cov_values = np.maximum(gram_values / n, 0.0)
 
     keep = min(m, n - 1, int(np.sum(cov_values > NEGLIGIBLE_EIGENVALUE)))
+    if not keep:
+        raise InsufficientData("training vectors have no variance: every "
+                               f"covariance eigenvalue is <= {NEGLIGIBLE_EIGENVALUE:g}")
     basis = np.empty((d, keep))
     for i in range(keep):
         face = centered.T @ gram_vectors[:, i]

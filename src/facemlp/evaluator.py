@@ -20,17 +20,14 @@ from .classifiers import (DEFAULT_THRESHOLD, AconModel, OconEnsemble,
 from .errors import InvalidConfig, ProtocolError
 from .mlp import TrainingTrace, forward
 
-DEFAULT_N_POS = 10
-DEFAULT_N_NEG = 10
-
 
 @dataclass(frozen=True)
 class Protocol:
     """How evaluate_all builds each class's test set; seed (>= 0) seeds
     the draw of its negatives."""
 
-    n_pos: int = DEFAULT_N_POS
-    n_neg: int = DEFAULT_N_NEG
+    n_pos: int = 10
+    n_neg: int = 10
     threshold: float = DEFAULT_THRESHOLD
     seed: int = 0
 

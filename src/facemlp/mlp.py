@@ -14,9 +14,9 @@ one round of in-place NumPy calls for the whole stack instead of one per
 net. Every slice of the stack runs the same IEEE operations in the same
 order as a net trained alone, so a net's weights and MSE history never
 depend on its group. train_group drives it, train is the group of one,
-and gradients is one backprop of a stack of one. Classification uses
-forward, which runs one vector through one net and returns its output
-layer.
+and gradients is one backprop of a stack of one; all three check a batch
+through _batch alone, and unflatten copies each net out. Classification
+uses forward, which runs one vector through one net.
 
 ClassModel and AconModel, trained nets labelled with their classes, sit
 beside Weights so that the pool, the store codec and the classifiers all
@@ -203,17 +203,18 @@ def forward(weights: Weights, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def _batch(inputs, targets, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """float64 (n, input size) inputs and (n, output size) targets, n >= 1."""
+def _batch(sizes, inputs, target_sets) -> tuple[np.ndarray, np.ndarray]:
+    """The trainer's one batch check: float64 (n, input size) inputs, n >= 1,
+    and the target sets stacked (k, n, output size); else DimensionMismatch."""
     x = np.asarray(inputs, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != sizes[0]:
-        raise DimensionMismatch(f"inputs shape {x.shape}, expected (n, {sizes[0]})")
-    if not len(x):
-        raise ValueError("batch is empty")
-    if t.shape != (len(x), sizes[-1]):
-        raise DimensionMismatch(f"targets shape {t.shape}, expected (n, {sizes[-1]})")
-    return x, t
+    if x.ndim != 2 or not len(x) or x.shape[1] != sizes[0]:
+        raise DimensionMismatch(f"inputs shape {x.shape}, expected (n, "
+                                f"{sizes[0]}) with n >= 1")
+    wanted = (len(x), sizes[-1])
+    for i, shape in enumerate(map(np.shape, target_sets)):
+        if shape != wanted:
+            raise DimensionMismatch(f"target set {i} shape {shape}, expected {wanted}")
+    return x, np.stack(target_sets, dtype=np.float64)
 
 
 def _flat(weights: Weights) -> np.ndarray:
@@ -234,15 +235,12 @@ def _layers(flat: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def unflatten(flat: np.ndarray, sizes) -> Weights:
-    """The net of the given layer sizes whose parameters, in _flat's
-    order, are the 1-D float64 array flat."""
-    return _unflat(_layers(flat[None], sizes), 0)
-
-
-def _unflat(layers, slot: int) -> Weights:
-    """A copy of one net of _layers' views."""
-    return Weights([w[slot].copy() for w, _ in layers],
-                   [b[slot, 0].copy() for _, b in layers])
+    """A copy of the net of the given layer sizes whose parameters, in
+    _flat's order, are the 1-D float64 array flat: the one way a trained
+    net, a gradient or a net read from a weight file becomes Weights."""
+    layers = _layers(flat[None], sizes)
+    return Weights([w[0].copy() for w, _ in layers],
+                   [b[0, 0].copy() for _, b in layers])
 
 
 class _Stack:
@@ -323,15 +321,15 @@ def gradients(weights: Weights, inputs: np.ndarray, targets: np.ndarray) -> Weig
     (n, output size) targets with respect to every weight and bias.
 
     The result reuses the Weights container, holding d(loss)/dW and
-    d(loss)/db in place of the parameters.
+    d(loss)/db in place of the parameters. A malformed batch raises
+    train_group's DimensionMismatch, word for word.
     """
     sizes = weights.layer_sizes
-    x, t = _batch(inputs, targets, sizes)
-    stack = _Stack(sizes, _flat(weights)[None], x, t[None])
+    stack = _Stack(sizes, _flat(weights)[None], *_batch(sizes, inputs, [targets]))
     with np.errstate(over="ignore"):
         stack.forward()
         stack.backprop()
-    return _unflat(stack.grad_layers, 0)
+    return unflatten(stack.grads[0], sizes)
 
 
 def train(topology: Topology, inputs: np.ndarray, targets: np.ndarray,
@@ -344,11 +342,11 @@ def train(topology: Topology, inputs: np.ndarray, targets: np.ndarray,
     the MSE of the updated network; training stops at the first epoch whose
     MSE drops below config.goal, or after config.max_epochs updates.
 
-    Raises Diverged (with the epoch number) if the MSE stops being finite.
-    This is train_group with a group of one.
+    This is train_group with a group of one, checks and all: it raises
+    the group's DimensionMismatch for a malformed batch, and Diverged
+    (with the epoch number) if the MSE stops being finite.
     """
-    x, t = _batch(inputs, targets, topology.layer_sizes)
-    (result,) = train_group(topology, x, [t], config, [config.seed])
+    (result,) = train_group(topology, inputs, [targets], config, [config.seed])
     if isinstance(result, Exception):
         raise result
     return result
@@ -381,19 +379,11 @@ def train_group(topology: Topology, inputs: np.ndarray, targets: list,
     """
     if len(targets) != len(seeds):
         raise InvalidConfig(f"{len(targets)} target sets for {len(seeds)} seeds")
-    shape = np.shape(inputs)
-    if len(shape) != 2 or not shape[0] or shape[1] != topology.input_size:
-        raise DimensionMismatch(f"inputs shape {shape}, expected (n, "
-                                f"{topology.input_size}) with n >= 1")
-    wanted = (shape[0], topology.output_size)
-    ts = [np.asarray(t, dtype=np.float64) for t in targets]
-    for i, t in enumerate(ts):
-        if t.shape != wanted:
-            raise DimensionMismatch(f"target set {i} shape {t.shape}, expected {wanted}")
+    x, ts = _batch(topology.layer_sizes, inputs, targets)
 
     started = time.perf_counter()
     params = np.stack([_flat(init_weights(topology, s)) for s in seeds])
-    stack = _Stack(topology.layer_sizes, params, inputs, np.stack(ts))
+    stack = _Stack(topology.layer_sizes, params, x, ts)
 
     results: list = [None] * len(ts)
     active = list(range(len(ts)))   # results index of each stack slot
@@ -412,8 +402,8 @@ def train_group(topology: Topology, inputs: np.ndarray, targets: list,
                 if not math.isfinite(value):
                     results[i] = Diverged(epoch)
                 elif value < config.goal or epoch == config.max_epochs:
-                    results[i] = (_unflat(stack.layers, slot), TrainingTrace(
-                        histories[i], value < config.goal, 0.0))
+                    results[i] = (unflatten(stack.params[slot], stack.sizes),
+                                  TrainingTrace(histories[i], value < config.goal, 0.0))
                 else:
                     keep.append(slot)
             if len(keep) < len(active):

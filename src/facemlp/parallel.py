@@ -55,9 +55,9 @@ class OconRun:
     """The pool's input: the (n, d) training matrix, the topology and the
     config every OCON net shares, and one job per class. Job c trains
     from seed config.seed + c, so retraining one class disturbs no other.
-    A job whose targets are not an (n, 1) column over the n inputs fails
-    the whole run as it is built, so it cannot fail differently at
-    different worker counts.
+    A job whose targets are not an (n, 1) column over the n inputs, or
+    whose seed is negative, fails the whole run as it is built, so it
+    cannot fail differently at different worker counts.
     """
 
     inputs: np.ndarray
@@ -76,6 +76,9 @@ class OconRun:
             if np.shape(job.targets) != wanted:
                 raise DimensionMismatch(f"class {job.class_id} targets shape "
                                         f"{np.shape(job.targets)}, expected {wanted}")
+            seed = self.config.seed + job.class_id
+            if seed < 0:
+                raise InvalidConfig(f"class {job.class_id} trains from seed {seed} < 0")
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facemlp import parallel
-from facemlp.cli import main
+from facemlp.cli import build_parser, main
 from facemlp.errors import FacemlpError
-from facemlp.imageio import GrayImage, serialize_pgm
+from facemlp.evaluator import Protocol
+from facemlp.imageio import GrayImage, Sample, serialize_pgm, write_dataset
+from facemlp.mlp import TrainingConfig
 from facemlp.store import frame, verify
 
 DATASET = ["--classes", "2", "--train", "4", "--test", "12",
@@ -287,6 +289,36 @@ def test_out_of_range_flag_is_config_error_without_data(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} ")
+
+
+def test_parser_defaults_are_the_library_defaults():
+    # The flags shared with a library config default to its fields; only
+    # --goal and --max-epochs keep their desk-scale defaults.
+    train = build_parser().parse_args(["train", "--data", "d"])
+    assert (train.goal, train.max_epochs) == (1e-3, 20000)
+    assert TrainingConfig(train.lr, train.momentum, train.goal,
+                          train.max_epochs, train.seed) \
+        == TrainingConfig(goal=train.goal, max_epochs=train.max_epochs)
+    assert parallel.PoolConfig(train.workers) == parallel.PoolConfig()
+    ev = build_parser().parse_args(["evaluate", "--data", "d"])
+    assert Protocol(ev.n_pos, ev.n_neg, ev.threshold, ev.protocol_seed) \
+        == Protocol()
+
+
+@pytest.mark.parametrize("mode", ["ocon", "acon"])
+def test_train_on_images_without_variance_is_fatal(tmp_path, capsys, mode):
+    # Two classes of one and the same 8x8 image leave no eigenface to
+    # project on: one error line, exit 1, nothing written.
+    image = GrayImage(8, 8, np.full(64, 100, dtype=np.uint8))
+    write_dataset([Sample(image, cid, role) for cid in (1, 2)
+                   for role in ("train", "train", "test")], tmp_path / "data")
+    code, out, err = run_main(capsys, "train", "--data", str(tmp_path / "data"),
+                              "--store", store_arg(tmp_path), "--mode", mode,
+                              *SPEED)
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "no variance" in line
+    assert not list(tmp_path.glob("r?"))
 
 
 def test_rejected_train_does_not_pin_the_store(tmp_path, capsys):

@@ -22,6 +22,7 @@ from facemlp.errors import (
     FormatError,
     InsufficientData,
 )
+from facemlp.imageio import GrayImage, to_vector
 from facemlp.store import frame
 
 
@@ -127,6 +128,14 @@ def test_build_is_deterministic():
 def test_insufficient_data():
     with pytest.raises(InsufficientData):
         compute_eigenspace(training_vectors(1, 10, seed=0), m=2)
+
+
+def test_a_training_set_without_variance_is_insufficient():
+    # Four identical 8x8 images, two per class: every covariance
+    # eigenvalue is 0, so no component is left to project on.
+    image = GrayImage(8, 8, np.full(64, 100, dtype=np.uint8))
+    with pytest.raises(InsufficientData, match="no variance"):
+        compute_eigenspace([to_vector(image)] * 4, m=6)
 
 
 def test_ragged_vectors_rejected():

@@ -250,10 +250,32 @@ def test_train_reports_divergence():
     assert err.value.epoch == 1
 
 
-def test_train_empty_batch():
-    with pytest.raises(ValueError):
-        train(Topology((2, 2, 1)), np.empty((0, 2)), np.empty((0, 1)),
-              TrainingConfig())
+MALFORMED_BATCHES = {
+    "empty": (np.empty((0, 2)), np.empty((0, 1))),
+    "wide_inputs": (np.zeros((4, 3)), XOR_T),
+    "vector_inputs": (np.zeros(4), XOR_T),
+    "wide_targets": (XOR_X, np.zeros((4, 2))),
+    "short_targets": (XOR_X, XOR_T[:3]),
+}
+
+
+@pytest.mark.parametrize("inputs, targets", MALFORMED_BATCHES.values(),
+                         ids=MALFORMED_BATCHES.keys())
+def test_every_entrance_rejects_a_malformed_batch_alike(inputs, targets):
+    # train, gradients and train_group share one batch check, so each
+    # malformed batch is one DimensionMismatch, word for word, at each.
+    topology, cfg = Topology((2, 3, 1)), TrainingConfig(max_epochs=5)
+    entrances = [
+        lambda: train(topology, inputs, targets, cfg),
+        lambda: gradients(init_weights(topology, 0), inputs, targets),
+        lambda: train_group(topology, inputs, [targets], cfg, [0]),
+    ]
+    messages = set()
+    for enter in entrances:
+        with pytest.raises(DimensionMismatch) as err:
+            enter()
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 def assert_same_weights(a: Weights, b: Weights):

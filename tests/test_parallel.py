@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facemlp import errors, parallel
-from facemlp.classifiers import AconModel, ClassModel, train_ocon
+from facemlp.classifiers import (AconModel, ClassModel, build_ocon_jobs,
+                                 train_ocon)
 from facemlp.errors import (
     ChecksumMismatch,
     DimensionMismatch,
@@ -289,6 +290,23 @@ def test_failures_stay_isolated_inside_a_lockstep_group(workers):
 def test_run_rejects_targets_that_are_not_a_column_over_its_inputs(targets):
     with pytest.raises(DimensionMismatch, match=r"expected \(6, 1\)"):
         make_jobs(3, {2: targets})
+
+
+def test_a_negative_seed_fails_the_run_as_it_is_built():
+    # Job c trains from seed config.seed + c. Class -1 at seed 0 would
+    # start from seed -1, which init_weights cannot draw from; had that
+    # failed its bucket, it would fail other classes at 1 worker than at 2.
+    rng = np.random.default_rng(3)
+    samples = [(rng.normal(size=2), cid) for cid in (-1, 1, 2, 3)
+               for _ in range(2)]
+    config = replace(CFG, seed=0)
+    with pytest.raises(InvalidConfig, match="class -1 .* seed -1"):
+        build_ocon_jobs(samples, 3, config)
+    run = build_ocon_jobs(samples, 3, replace(config, seed=1))
+    one, two = (run_pool(run, PoolConfig(w)) for w in (1, 2))
+    assert [o.class_id for o in one] == [o.class_id for o in two] == [-1, 1, 2, 3]
+    assert all(o.model is not None for o in one + two)
+    assert all(same_models(a.model, b.model) for a, b in zip(one, two))
 
 
 @pytest.mark.parametrize("first", [1, 2], ids=["forked", "own"])
