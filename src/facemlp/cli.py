@@ -30,7 +30,8 @@ from .errors import (
     StoreError,
     WeightsUnavailable,
 )
-from .imageio import downsample, load_manifest, generate_synthetic, to_vector, write_dataset
+from .imageio import (MANIFEST_FILENAME, downsample, load_manifest,
+                      generate_synthetic, to_vector, write_dataset)
 from .mlp import TrainingConfig
 from .store import WeightStore, read_each, write_replicated
 
@@ -52,24 +53,28 @@ def _resolve_store(flag_value: str | None) -> WeightStore:
 
 
 def _load_vectors(data: str, factor: int):
+    """--data's training and test (vector, class id) pairs after
+    --downsample. load_manifest judges the records; this checks the sizes."""
     manifest_path = Path(data)
     if manifest_path.is_dir():
-        manifest_path = manifest_path / "manifest.tsv"
+        manifest_path /= MANIFEST_FILENAME
     paths, samples = load_manifest(manifest_path)
-    roles = [s.role for s in samples]
-    if "train" not in roles:
-        raise InvalidConfig("manifest contains no training samples")
-    images = [downsample(s.image, factor) for s in samples]
-    first = roles.index("train")
+    images = []
+    for s, path in zip(samples, paths):
+        try:
+            images.append(downsample(s.image, factor))
+        except InvalidConfig:
+            raise InvalidConfig(f"--downsample {factor} exceeds {path}, a "
+                                f"{s.image.width}x{s.image.height} image") from None
+    first = next(i for i, s in enumerate(samples) if s.role == "train")
     size = (images[first].width, images[first].height)
     after = f" after --downsample {factor}" if factor > 1 else ""
-    for image, path in zip(images, paths):
+    split = {"train": [], "test": []}
+    for s, image, path in zip(samples, images, paths):
         if (image.width, image.height) != size:
             raise DimensionMismatch(
                 f"{path} is {image.width}x{image.height}{after}, but the "
                 f"first training image {paths[first]} is {size[0]}x{size[1]}")
-    split = {"train": [], "test": []}
-    for s, image in zip(samples, images):
         split[s.role].append((to_vector(image), s.class_id))
     return split["train"], split["test"]
 
@@ -347,12 +352,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
     except FacemlpError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FATAL
+        return EXIT_BAD_CONFIG if isinstance(exc, InvalidConfig) else EXIT_FATAL
 
 
 if __name__ == "__main__":

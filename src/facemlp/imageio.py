@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     FacemlpError,
     FileError,
+    InsufficientData,
     InvalidConfig,
     ManifestSyntax,
     TruncatedImage,
@@ -27,6 +28,7 @@ from .errors import (
 )
 
 ROLES = ("train", "test")
+MANIFEST_FILENAME = "manifest.tsv"   # what a dataset directory's manifest is named
 
 # Synthetic-generator perturbation scale, in intensity levels.
 NOISE_SIGMA = 12.0
@@ -168,11 +170,13 @@ def load_manifest(path: str | Path) -> tuple[list[Path], list[Sample]]:
     """Load a manifest file and every image it references.
 
     Each non-empty, non-comment line reads `path<TAB>class_id<TAB>role`
-    with role in {train, test}. Paths resolve relative to the manifest's
-    directory. Returns each record's image path and its Sample, as two
-    lists in record order. A FileError for an unreadable or non-UTF-8
-    manifest names it; one for an unreadable image and parse_pgm's error
-    for a malformed one name the image's path.
+    with role in {train, test}; paths resolve relative to the manifest's
+    directory. This is the one judge of the records: a test record's
+    class needs a training record (else ManifestSyntax on its line), and
+    then the manifest needs a training record (else InsufficientData).
+    Returns each record's image path and Sample, as two lists in record
+    order. A FileError names the manifest or image it cannot read, and
+    parse_pgm's error for a malformed image names the image.
     """
     path = Path(path)
     try:
@@ -180,10 +184,7 @@ def load_manifest(path: str | Path) -> tuple[list[Path], list[Sample]]:
     except (OSError, UnicodeDecodeError) as exc:
         raise FileError(f"cannot read manifest {path}: {exc}") from exc
 
-    records: list[tuple[Path, int, str]] = []
-    seen_paths: set[str] = set()
-    train_classes: set[int] = set()
-    test_lines: list[tuple[int, int]] = []  # (class_id, line) for role=test
+    records: dict[str, tuple[Path, int, str, int]] = {}   # by path as listed
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -200,21 +201,19 @@ def load_manifest(path: str | Path) -> tuple[list[Path], list[Sample]]:
             raise ManifestSyntax(f"class id must be >= 1, got {class_id}", lineno)
         if role not in ROLES:
             raise ManifestSyntax(f"bad role {role!r}", lineno)
-        if rel in seen_paths:
+        if rel in records:
             raise ManifestSyntax(f"duplicate path {rel!r}", lineno)
-        seen_paths.add(rel)
-        if role == "train":
-            train_classes.add(class_id)
-        else:
-            test_lines.append((class_id, lineno))
-        records.append((path.parent / rel, class_id, role))
+        records[rel] = (path.parent / rel, class_id, role, lineno)
 
-    for class_id, lineno in test_lines:
-        if class_id not in train_classes:
+    trained = {cid for _, cid, role, _ in records.values() if role == "train"}
+    for _, class_id, _, lineno in records.values():
+        if class_id not in trained:
             raise ManifestSyntax(f"test class {class_id} has no train records", lineno)
+    if not trained:
+        raise InsufficientData(f"manifest {path} lists no training images")
 
     samples: list[Sample] = []
-    for img_path, class_id, role in records:
+    for img_path, class_id, role, _ in records.values():
         try:
             samples.append(Sample(parse_pgm(img_path.read_bytes()),
                                   class_id, role))
@@ -222,7 +221,7 @@ def load_manifest(path: str | Path) -> tuple[list[Path], list[Sample]]:
             raise FileError(f"cannot read image {img_path}: {exc}") from exc
         except FacemlpError as exc:     # parse_pgm's, which name no file
             raise type(exc)(f"{img_path}: {exc}") from exc
-    return [p for p, _, _ in records], samples
+    return [p for p, *_ in records.values()], samples
 
 
 def write_dataset(samples: list[Sample], out_dir: str | Path) -> Path:
@@ -244,7 +243,7 @@ def write_dataset(samples: list[Sample], out_dir: str | Path) -> Path:
         except OSError as exc:
             raise FileError(f"cannot write {out_dir / name}: {exc}") from exc
         lines.append(f"{name}\t{sample.class_id}\t{sample.role}")
-    manifest_path = out_dir / "manifest.tsv"
+    manifest_path = out_dir / MANIFEST_FILENAME
     try:
         manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:

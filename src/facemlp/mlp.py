@@ -33,10 +33,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InsufficientClasses, InvalidConfig
 
-# Full-scale experiment defaults; desk-scale runs override both.
-DEFAULT_GOAL = 1e-6
-DEFAULT_MAX_EPOCHS = 700_000
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -80,8 +76,8 @@ class TrainingConfig:
 
     learning_rate: float = 0.05
     momentum: float = 0.9
-    goal: float = DEFAULT_GOAL
-    max_epochs: int = DEFAULT_MAX_EPOCHS
+    goal: float = 1e-6          # the full-scale experiments' goal and
+    max_epochs: int = 700_000   # epoch cap; desk-scale runs override both
     seed: int = 0
 
     def __post_init__(self):
@@ -371,14 +367,15 @@ def train_group(topology: Topology, inputs: np.ndarray, targets: list,
     Returns one entry per net, in order: (weights, trace), or Diverged for
     a net whose MSE stops being finite; that is the only failure of one
     net. Before any net trains, the group fails as a whole: InvalidConfig
-    if the target sets and seeds differ in count, DimensionMismatch if
+    if it has no target set or not one seed per set, DimensionMismatch if
     inputs is not a non-empty (n, input size) matrix or a target set is
     not (n, output size). This is the group's one clock: a net's share of
     the training time, in proportion to its epochs, is its trace's or its
     Diverged's wall_time, so the shares sum to it.
     """
-    if len(targets) != len(seeds):
-        raise InvalidConfig(f"{len(targets)} target sets for {len(seeds)} seeds")
+    if not targets or len(targets) != len(seeds):
+        raise InvalidConfig(f"a group needs at least one target set and one seed "
+                            f"per set, got {len(targets)} sets for {len(seeds)} seeds")
     x, ts = _batch(topology.layer_sizes, inputs, targets)
 
     started = time.perf_counter()

@@ -681,6 +681,50 @@ def test_dataset_fault_matrix(trained, tmp_path, capsys, command, victim,
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("edit, reason", [
+    (lambda lines: [], "lists no training images"),
+    (lambda lines: ["# no records", "", "#" + lines[0]],
+     "lists no training images"),
+    (lambda lines: [line for line in lines if line.endswith("\ttest")],
+     "has no train records")], ids=["empty", "comments_only", "test_only"])
+def test_a_manifest_without_training_images_is_one_error(
+        trained, tmp_path, capsys, command, edit, reason):
+    # load_manifest alone judges the records: whatever else the manifest
+    # lists, no training image is a data fault in both commands.
+    data, roots, _ = trained
+    copy = shutil.copytree(data, tmp_path / "data")
+    manifest = copy / "manifest.tsv"
+    lines = edit(manifest.read_text().splitlines())
+    manifest.write_text("".join(f"{line}\n" for line in lines))
+    store = ":".join(str(r) for r in roots) if command == "evaluate" \
+        else store_arg(tmp_path, ("fresh",))
+    code, out, err = run_main(capsys, command, "--data", str(copy),
+                              "--store", store,
+                              *(SPEED if command == "train" else []))
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and reason in line
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_downsample_beyond_an_image_names_the_flag(tmp_path, capsys,
+                                                   command):
+    # A factor larger than a 4x4 image is the flag's fault: exit 2, one
+    # line naming the flag, its value and the first image it exceeds.
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--classes", "2", "--train",
+                 "2", "--test", "1", "--side", "4"]) == 0
+    code, out, err = run_main(capsys, command, "--data", str(data),
+                              "--store", store_arg(tmp_path),
+                              "--downsample", "5")
+    assert (code, out) == (2, "")
+    assert err == (f"error: --downsample 5 exceeds "
+                   f"{data / 'class01_train000.pgm'}, a 4x4 image\n")
+    assert not list(tmp_path.glob("r?"))
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_an_image_given_as_the_manifest_is_one_error(trained, tmp_path,
                                                      capsys, command):
     data, roots, _ = trained

@@ -21,6 +21,7 @@ from facemlp.errors import (
     FileError,
     FormatError,
     InsufficientData,
+    InvalidConfig,
 )
 from facemlp.imageio import GrayImage, to_vector
 from facemlp.store import frame
@@ -128,6 +129,11 @@ def test_build_is_deterministic():
 def test_insufficient_data():
     with pytest.raises(InsufficientData):
         compute_eigenspace(training_vectors(1, 10, seed=0), m=2)
+
+
+def test_zero_components_rejected():
+    with pytest.raises(InvalidConfig, match="m must be >= 1"):
+        compute_eigenspace(training_vectors(4, 10, seed=0), m=0)
 
 
 def test_a_training_set_without_variance_is_insufficient():

@@ -96,6 +96,15 @@ def test_bad_magic_rejected():
             parse_pgm(data)
 
 
+@pytest.mark.parametrize("data, reason", [
+    (b"P5\n0 1\n255\n", "non-positive image dimensions"),
+    (b"P5\n1 1\n0\n\x00", "maxval must be at least 1")],
+    ids=["zero_width", "zero_maxval"])
+def test_zero_width_or_maxval_rejected(data, reason):
+    with pytest.raises(UnsupportedFormat, match=reason):
+        parse_pgm(data)
+
+
 def test_incomplete_header():
     with pytest.raises(UnsupportedFormat):
         parse_pgm(b"P5\n3 3\n")
@@ -277,10 +286,11 @@ def test_manifest_field_count_error(tmp_path):
 
 
 def test_manifest_bad_class(tmp_path):
-    p = _write_manifest(tmp_path, "# header\na.pgm\tx\ttrain\n")
-    with pytest.raises(ManifestSyntax) as err:
-        load_manifest(p)
-    assert err.value.line == 2
+    for class_id in ("x", "0"):
+        p = _write_manifest(tmp_path, f"# header\na.pgm\t{class_id}\ttrain\n")
+        with pytest.raises(ManifestSyntax) as err:
+            load_manifest(p)
+        assert err.value.line == 2
 
 
 def test_manifest_bad_role(tmp_path):

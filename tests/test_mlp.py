@@ -401,6 +401,14 @@ def test_train_group_rejects_mixed_sample_counts():
         train_group(Topology((2, 3, 1)), XOR_X, [XOR_T], cfg, [0, 0])
 
 
+def test_train_group_rejects_an_empty_group():
+    # No target set is the group's fault, as a run with no job is the
+    # run's, not NumPy's error from stacking nothing.
+    with pytest.raises(InvalidConfig, match="at least one target set"):
+        train_group(Topology((2, 3, 1)), np.zeros((4, 2)), [],
+                    TrainingConfig(max_epochs=5), [])
+
+
 @pytest.mark.parametrize("shape", [(4, 5), (4,), (0, 3), (4, 3, 1)],
                          ids=["wide", "vector", "empty", "three_d"])
 def test_train_group_rejects_inputs_of_another_shape(shape):

@@ -502,6 +502,30 @@ def test_non_ascii_body_with_valid_checksum_rejected(tmp_path):
         read_weight_file(p)
 
 
+@pytest.mark.parametrize("body, reason", [
+    (b"OCONW1 1\n2 1\n", "truncated weight file"),
+    (b"OCONW1 1\n2 1\n0 x\n0\n", "malformed numeric field"),
+    (b"OCONW1 1\n2 0\n0\n", "bad layer sizes"),
+    (b"OCONW1 1 2\n2 1\n0 0\n0\n", "exactly one class id")],
+    ids=["short", "non_numeric", "zero_layer", "two_ids"])
+def test_load_fails_over_a_weight_file_the_codec_rejects(tmp_path, body,
+                                                         reason):
+    # Each body is framed with a valid CRC, so the codec rejects it, not
+    # the checksum, and the read fails over to the next root.
+    store = WeightStore((tmp_path / "a", tmp_path / "b"))
+    model = random_model(1, seed=3, sizes=(2, 1))
+    persist(model, store)
+    victim = tmp_path / "a" / class_filename(1)
+    victim.write_bytes(frame(body))
+    with pytest.raises(FormatError, match=reason):
+        read_weight_file(victim)
+    skipped = []
+    loaded = load(1, store, lambda path, exc: skipped.append(path))
+    assert skipped == [victim]
+    for x, y in zip(loaded.weights.weights, model.weights.weights):
+        assert np.array_equal(x, y)
+
+
 def test_acon_roundtrip(tmp_path):
     store = WeightStore((tmp_path / "a", tmp_path / "b"))
     w = init_weights(Topology((3, 4, 2)), seed=2)

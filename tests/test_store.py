@@ -27,6 +27,8 @@ def test_frame_round_trip_and_checks():
     assert verify(raw, "x") == BODY
     with pytest.raises(FormatError):
         verify(BODY, "x")
+    with pytest.raises(FormatError, match="malformed checksum trailer"):
+        verify(BODY + b"CRC32 checksum\n", "x")
     with pytest.raises(ChecksumMismatch):
         verify(raw.replace(b"0.25", b"0.26"), "x")
 
