@@ -67,6 +67,10 @@ class Diverged(FacemlpError):
         return type(self), (self.epoch, self.wall_time)
 
 
+class WorkerDied(FacemlpError):
+    """A forked pool worker died before it sent its bucket's outcomes."""
+
+
 # --- classifier construction ---
 
 class EmptyClass(FacemlpError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -86,15 +87,13 @@ def _tally(class_id: int, accepts, positives, negatives) -> ClassResult:
     return ClassResult(class_id, len(positives), len(negatives), correct)
 
 
-def _split_exemplars(class_id: int, test_samples, protocol: Protocol):
-    """First n_pos same-class test vectors, plus a seeded draw of n_neg
-    other-class vectors. The draw depends only on (seed, class_id)."""
-    positives = [np.asarray(f, dtype=np.float64)
-                 for f, cid in test_samples if cid == class_id][: protocol.n_pos]
+def _split_exemplars(class_id: int, labels, protocol: Protocol):
+    """Indices of the first n_pos test samples labelled class_id, plus a
+    seeded draw of n_neg others'. The draw depends only on (seed, class_id)."""
+    positives = [i for i, c in enumerate(labels) if c == class_id][: protocol.n_pos]
     if not positives:
         raise ProtocolError(class_id)
-    pool = [np.asarray(f, dtype=np.float64)
-            for f, cid in test_samples if cid != class_id]
+    pool = [i for i, c in enumerate(labels) if c != class_id]
     if not pool:
         raise ProtocolError(class_id, "no negative exemplars available")
     rng = np.random.default_rng([protocol.seed, class_id])
@@ -114,14 +113,17 @@ def evaluate_all(models, test_samples,
     OCON's by class id and ACON's in class_ids order. The architecture's
     decision is chosen once: an OCON class accepts an exemplar when its
     net's output passes protocol.threshold, an ACON class when it wins
-    the argmax. Every row is then tallied through that one decision.
+    the argmax, scored once per sample. Every row is tallied through it.
     """
+    vectors = [np.asarray(f, dtype=np.float64) for f, _ in test_samples]
+    labels = [cid for _, cid in test_samples]
     if isinstance(models, AconModel):
         mode = "ACON"
         table = [(cid, models) for cid in models.class_ids]
+        winner = cache(lambda i: classify_acon(models, vectors[i])[0])
 
-        def accepts(cid, model, f) -> bool:
-            return classify_acon(model, f)[0] == cid
+        def accepts(cid, model, i) -> bool:
+            return winner(i) == cid
     else:
         if isinstance(models, OconEnsemble):
             by_id: Mapping = {m.class_id: m for m in models.models}
@@ -132,12 +134,12 @@ def evaluate_all(models, test_samples,
         mode = "OCON"
         table = [(cid, by_id[cid]) for cid in sorted(by_id)]
 
-        def accepts(cid, model, f) -> bool:
-            return verify(forward(model.weights, f)[0], protocol.threshold)
+        def accepts(cid, model, i) -> bool:
+            return verify(forward(model.weights, vectors[i])[0], protocol.threshold)
 
     rows = []
     for cid, model in table:
-        pos, neg = _split_exemplars(cid, test_samples, protocol)
+        pos, neg = _split_exemplars(cid, labels, protocol)
         if model is None:
             rows.append(ClassResult(cid, 0, 0, 0, error="weights unavailable"))
         else:

@@ -8,9 +8,9 @@ each job only its class's targets, so a worker's jobs train as one
 lockstep stack (mlp.train_group), sharing NumPy's per-call overhead with
 no change to any net's arithmetic: processes split the classes, lockstep
 speeds up each process. The calling process is the pool's last worker:
-it trains the last bucket while W - 1 forked processes train the others,
-so one worker forks nothing. A net fails alone only by diverging; any
-other failure fails its bucket, wherever the bucket ran.
+it trains the last bucket while a forked child per other bucket pipes
+its outcomes back, so one worker forks nothing. A net fails alone only
+by diverging; any other failure fails its own bucket, wherever it ran.
 
 The weight-file codec lives here too: persist and load encode and decode
 a net's text body, and facemlp.store frames it with its checksum,
@@ -19,16 +19,16 @@ replicates it to every root and fails over between the replicas.
 
 from __future__ import annotations
 
-import multiprocessing
+import os
+import pickle
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (DimensionMismatch, FormatError, InvalidConfig,
-                     StoreError, WeightsUnavailable)
+                     StoreError, WeightsUnavailable, WorkerDied)
 from .mlp import (AconModel, ClassModel, Topology, TrainingConfig, Weights,
                   train_group, unflatten)
 from .store import (
@@ -138,30 +138,64 @@ def _run_job_list(run: OconRun, jobs: list[TrainingJob]):
             for job, result in zip(jobs, trained)]
 
 
+def _gather(bucket: list[TrainingJob], outcomes: Callable) -> list[JobOutcome]:
+    try:
+        return outcomes()
+    except Exception as exc:    # the bucket's: each job reports it
+        return [JobOutcome(j.class_id, exception=exc) for j in bucket]
+
+
+def _fork(run: OconRun, bucket: list[TrainingJob]):
+    """Fork a child that pipes the bucket's outcomes back; return its pid and
+    the read end. It leaves by os._exit: no return to the caller, no flush."""
+    read, write = os.pipe()
+    if pid := os.fork():
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    try:
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(_gather(bucket, lambda: _run_job_list(run, bucket)), pipe)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _reap(pid: int, pipe) -> list[JobOutcome]:
+    """A child's outcomes, read to EOF before the wait: no payload deadlocks."""
+    with pipe:
+        data = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code or not data:
+        raise WorkerDied(f"pool worker {pid} " + (f"was killed by signal {-code}"
+                         if code < 0 else f"exited with status {code}"))
+    return pickle.loads(data)
+
+
 def run_pool(run: OconRun, pool: PoolConfig) -> list[JobOutcome]:
     """Train every job of the run and gather the outcomes by class_id.
 
     Worker count never changes the trained weights, only the wall time:
     jobs share no state, each is deterministic, and a job's arithmetic is
     the same whichever stack it trains in. The last bucket trains in this
-    process while forked processes train the others. A diverging net
-    fails alone. Any other failure, the bucket's exception or
-    BrokenProcessPool when a forked process died, goes into each of the
-    bucket's outcomes; a dead process breaks the whole executor, so every
-    forked bucket fails while this process's bucket stands.
+    process, each other one in a forked child. A diverging net fails
+    alone; any other failure (WorkerDied for a dead child) fails its own
+    bucket. No child outlives the call, even if this process raises.
     """
     *forked, own = allocate(run, pool)
-    ctx = multiprocessing.get_context("fork")
-    # A fork executor starts all max_workers processes at its first submit.
-    with ProcessPoolExecutor(len(forked) or 1, mp_context=ctx) as executor:
-        futures = [executor.submit(_run_job_list, run, b) for b in forked]
-        outcomes = []
-        for bucket, gather in [(own, lambda: _run_job_list(run, own)),
-                               *zip(forked, (f.result for f in futures))]:
-            try:
-                outcomes += gather()
-            except Exception as exc:    # the bucket's: each job reports it
-                outcomes += [JobOutcome(j.class_id, exception=exc) for j in bucket]
+    children = {}                       # pid -> (bucket, pipe) until reaped
+    try:
+        for bucket in forked:
+            pid, pipe = _fork(run, bucket)
+            children[pid] = bucket, pipe
+        outcomes = _gather(own, lambda: _run_job_list(run, own))
+        for pid, (bucket, pipe) in list(children.items()):
+            outcomes += _gather(bucket, lambda: _reap(pid, pipe))
+            del children[pid]
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, 9)             # SIGKILL, which no handler catches
+            os.waitpid(pid, 0)
     outcomes.sort(key=lambda o: o.class_id)
     return outcomes
 

@@ -46,6 +46,7 @@ from facemlp.parallel import (
     PoolConfig,
     TrainingJob,
     WeightStore,
+    allocate,
     class_filename,
     load,
     persist,
@@ -312,6 +313,12 @@ def test_criterion_6_parallel_equivalence_and_speedup(experiment):
                 for x, y in zip(a.model.weights.biases,
                                 b.model.weights.biases):
                     assert np.array_equal(x, y)
+        # The work split, on any host: the largest of the 4 buckets holds
+        # at most 0.35 of the run's net-epochs, which bounds t4/t1 below.
+        epochs = {o.class_id: o.model.trace.epochs_run for o in baseline}
+        share = max(sum(epochs[j.class_id] for j in bucket) for bucket
+                    in allocate(jobs, PoolConfig(workers=4))) / sum(epochs.values())
+        assert share <= 0.35
         ratio = timings[4] / timings[1]
         cores = os.cpu_count() or 1
         if cores >= 4:
@@ -321,7 +328,8 @@ def test_criterion_6_parallel_equivalence_and_speedup(experiment):
             speed_note = (f"speedup reported only ({cores} cores): "
                           f"t4/t1 = {ratio:.2f}")
         ok = True
-        detail = f"weights bit-identical for workers 1/2/4; {speed_note}"
+        detail = (f"weights bit-identical for workers 1/2/4; largest of 4 "
+                  f"buckets holds {share:.3f} of the net-epochs; {speed_note}")
     finally:
         _report(6, "parallel equivalence and speedup", ok, detail)
 

@@ -1,6 +1,9 @@
 """Module structure checks over the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "facemlp"
@@ -57,3 +60,15 @@ def test_nested_imports_sees_import_calls():
         "    return importlib.reload\n")
     assert list(nested_imports(tree)) == [("a", 4), ("b", 6), ("c", 8),
                                           ("d", 10)]
+
+
+def test_the_cli_imports_no_process_pool_machinery():
+    # The pool forks its children with os.fork; multiprocessing and
+    # concurrent.futures would only add to every command's start-up.
+    script = ("import sys, facemlp.cli; print(sorted(m for m in sys.modules"
+              " if m.startswith(('multiprocessing', 'concurrent'))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n"

@@ -1,7 +1,7 @@
-import multiprocessing
 import os
 import pickle
-from concurrent.futures.process import BrokenProcessPool
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +20,7 @@ from facemlp.errors import (
     InvalidConfig,
     StoreError,
     WeightsUnavailable,
+    WorkerDied,
 )
 from facemlp.mlp import Topology, TrainingConfig, init_weights, train
 from facemlp.parallel import (
@@ -127,16 +128,15 @@ def test_run_pool_forks_one_process_fewer_than_its_workers(monkeypatch,
     # processes and one worker starts none; the outcomes stay the same.
     reference = run_pool(make_jobs(4), PoolConfig(workers=1))
     started = []
-    start = multiprocessing.context.ForkProcess.start
+    fork = os.fork
 
-    def counting_start(process):
-        started.append(process)
-        start(process)
+    def counting_fork():
+        started.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
-                        counting_start)
+    monkeypatch.setattr(os, "fork", counting_fork)
     outcomes = run_pool(make_jobs(4), PoolConfig(workers=workers))
-    assert len(started) == workers - 1
+    assert started == [os.getpid()] * (workers - 1)
     assert [o.class_id for o in outcomes] == [1, 2, 3, 4]
     for a, b in zip(reference, outcomes):
         assert same_models(a.model, b.model)
@@ -191,6 +191,7 @@ ERROR_CASES = [
     errors.StoreError("no root"),
     errors.ChecksumMismatch("crc"),
     errors.WeightsUnavailable(5),
+    errors.WorkerDied("pool worker 4242 was killed by signal 9"),
     errors.ProtocolError(3, "no negative exemplars available"),
 ]
 
@@ -334,9 +335,9 @@ def test_a_bucket_that_raises_fails_each_of_its_jobs(monkeypatch, first):
 
 
 def test_a_dead_worker_fails_only_the_forked_buckets(monkeypatch):
-    # A forked process that dies breaks the executor: each forked job
-    # reports BrokenProcessPool, while the nets this process trained stand
-    # byte for byte. The fork inherits the patched train_group.
+    # A forked process that dies fails its bucket: each of its jobs
+    # reports WorkerDied, while the nets this process trained stand byte
+    # for byte. The fork inherits the patched train_group.
     reference = run_pool(make_jobs(5), PoolConfig(workers=1))
     parent, real = os.getpid(), parallel.train_group
 
@@ -351,10 +352,67 @@ def test_a_dead_worker_fails_only_the_forked_buckets(monkeypatch):
     for a, b in zip(reference, outcomes):
         if b.class_id % 2:              # jobs 1, 3, 5: the forked bucket
             assert b.model is None
-            assert isinstance(b.exception, BrokenProcessPool)
+            assert isinstance(b.exception, WorkerDied)
+            assert str(b.exception).endswith(" exited with status 1")
         else:
             assert b.exception is None
             assert same_models(a.model, b.model)
+
+
+def test_a_dead_worker_fails_only_its_own_bucket(monkeypatch):
+    # At 3 workers jobs 1 and 4 train in one fork, 2 and 5 in another and
+    # 3 in this process. The first fork is killed by a signal: its jobs
+    # report WorkerDied, and both other buckets stand byte for byte.
+    reference = run_pool(make_jobs(5), PoolConfig(workers=1))
+    real = parallel.train_group
+
+    def dying(topology, inputs, targets, config, seeds):
+        if seeds[0] == CFG.seed + 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(topology, inputs, targets, config, seeds)
+
+    monkeypatch.setattr(parallel, "train_group", dying)
+    outcomes = run_pool(make_jobs(5), PoolConfig(workers=3))
+    assert [o.class_id for o in outcomes] == [1, 2, 3, 4, 5]
+    for a, b in zip(reference, outcomes):
+        if b.class_id in (1, 4):
+            assert b.model is None
+            assert isinstance(b.exception, WorkerDied)
+            assert str(b.exception).endswith(
+                f" was killed by signal {signal.SIGKILL:d}")
+        else:
+            assert b.exception is None
+            assert same_models(a.model, b.model)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_child_outlives_a_clean_run():
+    assert len(run_pool(make_jobs(5), PoolConfig(workers=3))) == 5
+    assert_no_child_left()
+
+
+def test_no_child_outlives_a_run_whose_own_bucket_raises(monkeypatch):
+    # SystemExit is no Exception, so run_pool does not catch it as the
+    # bucket's failure: it propagates, and the forks, still training for
+    # a minute, are killed and reaped on the way out.
+    parent, real = os.getpid(), parallel.train_group
+
+    def stalling(*args):
+        if os.getpid() == parent:
+            raise SystemExit(143)
+        time.sleep(60)
+        return real(*args)
+
+    monkeypatch.setattr(parallel, "train_group", stalling)
+    started = time.monotonic()
+    with pytest.raises(SystemExit):
+        run_pool(make_jobs(5), PoolConfig(workers=3))
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
 
 
 def test_run_pool_rejects_duplicate_ids():
