@@ -9,9 +9,8 @@ from .classifiers import (
     classify_ocon,
     train_acon,
     train_ocon,
-    verify,
 )
-from .eigenspace import Eigenspace, compute_eigenspace, project, reconstruct
+from .eigenspace import Eigenspace, compute_eigenspace, project
 from .errors import FacemlpError
 from .evaluator import EvaluationReport, Protocol, evaluate_all, render_report
 from .imageio import (
@@ -29,8 +28,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AconModel", "ClassModel", "OconEnsemble", "classify_acon",
-    "classify_ocon", "train_acon", "train_ocon", "verify",
-    "Eigenspace", "compute_eigenspace", "project", "reconstruct",
+    "classify_ocon", "train_acon", "train_ocon",
+    "Eigenspace", "compute_eigenspace", "project",
     "FacemlpError", "EvaluationReport", "Protocol", "evaluate_all",
     "render_report", "GrayImage", "Sample", "generate_synthetic",
     "load_manifest", "parse_pgm", "to_vector", "Topology", "TrainingConfig",

@@ -4,7 +4,7 @@ OCON dedicates a small binary network to each class, trained with that
 class's samples as positives (class-one) and every other class's samples
 as negatives (class-two). ACON is a single network with one output per
 class and one-hot targets. Both train on one (n, feature dim) matrix and
-decide by argmax; OCON additionally supports thresholded verification.
+classify by argmax; the evaluator holds each one's verification rule.
 """
 
 from __future__ import annotations
@@ -24,24 +24,21 @@ from .parallel import OconRun, PoolConfig, TrainingJob, run_pool
 
 OCON_HIDDEN = 20
 ACON_HIDDEN = 60
-DEFAULT_THRESHOLD = 0.5
 
 
 @dataclass(eq=False)
 class OconEnsemble:
+    """One subnet per class, with distinct class ids and one input width."""
+
     models: list[ClassModel]
-    feature_dim: int
 
     def __post_init__(self):
-        ids = [m.class_id for m in self.models]
+        ids = self.class_ids
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate class ids in ensemble: {ids}")
-        for m in self.models:
-            if m.weights.layer_sizes[0] != self.feature_dim:
-                raise DimensionMismatch(
-                    f"class {m.class_id} expects {m.weights.layer_sizes[0]} "
-                    f"inputs, ensemble feature_dim is {self.feature_dim}"
-                )
+        if len({m.weights.layer_sizes[0] for m in self.models}) > 1:
+            raise DimensionMismatch(f"subnets of classes {ids} differ in "
+                                    f"input width")
 
     @property
     def class_ids(self) -> list[int]:
@@ -80,7 +77,7 @@ def build_ocon_jobs(train_samples, hidden: int,
     starts from seed config.seed + c, so no two subnets start alike.
     """
     inputs, labels, class_ids = _stacked(train_samples)
-    return OconRun(inputs, Topology((inputs.shape[1], hidden, 1)), config,
+    return OconRun(inputs, hidden, config,
                    [TrainingJob(cid, build_ocon_task(cid, labels))
                     for cid in class_ids])
 
@@ -98,7 +95,7 @@ def train_ocon(train_samples, hidden: int = OCON_HIDDEN,
     for outcome in outcomes:
         if outcome.model is None:
             raise outcome.exception
-    return OconEnsemble([o.model for o in outcomes], run.topology.input_size)
+    return OconEnsemble([o.model for o in outcomes])
 
 
 def train_acon(train_samples, hidden: int = ACON_HIDDEN,
@@ -135,8 +132,3 @@ def classify_acon(model: AconModel, f: np.ndarray) -> tuple[int, np.ndarray]:
     scores = forward(model.weights, f)
     winner = _argmax_lowest(model.class_ids, scores)
     return model.class_ids[winner], scores
-
-
-def verify(score: float, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """Accept iff score >= threshold (boundary accepts)."""
-    return score >= threshold

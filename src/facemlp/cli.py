@@ -218,16 +218,21 @@ def cmd_train(args) -> int:
         nets = [(f"class {o.class_id}", o.model, o.exception)
                 for o in parallel.run_pool(run, pool)]
 
-    # After training, before any weight file: failed runs write nothing.
-    # A space read back re-encodes to its bytes: this mends a bad replica.
+    # A run that failed, or in which no net trained, writes nothing.
+    for label, model, exc in nets:
+        if model is None:
+            print(f"{label}: training failed: {exc}", file=sys.stderr)
+    trained = [(label, model) for label, model, _ in nets if model]
+    if not trained:
+        raise FacemlpError("no network trained; nothing was stored")
+
+    # The space goes before any weight file. A space read back re-encodes
+    # to its bytes: this mends a bad replica.
     for err in write_replicated(store, EIGENSPACE_FILENAME,
                                 encode_eigenspace(space)).errors:
         _warn(err)
 
-    for label, model, exc in nets:
-        if model is None:
-            print(f"{label}: training failed: {exc}", file=sys.stderr)
-            continue
+    for label, model in trained:
         for err in save(model, store).errors:
             _warn(err)
         trace = model.trace
@@ -237,9 +242,9 @@ def cmd_train(args) -> int:
         print(f"{label}: epochs={trace.epochs_run} "
               f"final MSE {trace.final_mse:.6g} ({status})")
     _write_traces(traces_dir, [(label.replace(" ", "_"), model.trace)
-                               for label, model, _ in nets if model])
+                               for label, model in trained])
 
-    return EXIT_PARTIAL if any(m is None for _, m, _ in nets) else EXIT_OK
+    return EXIT_OK if len(trained) == len(nets) else EXIT_PARTIAL
 
 
 def cmd_evaluate(args) -> int:

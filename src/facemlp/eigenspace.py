@@ -141,16 +141,6 @@ def project(space: Eigenspace, v: np.ndarray) -> np.ndarray:
     return space.basis.T @ (v - space.mean)
 
 
-def reconstruct(space: Eigenspace, coeffs: np.ndarray) -> np.ndarray:
-    """Rebuild a vector from projection coefficients (mean + basis sum)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 1 or coeffs.shape[0] != space.components:
-        raise DimensionMismatch(
-            f"expected {space.components} coefficients, got {coeffs.shape}"
-        )
-    return space.mean + space.basis @ coeffs
-
-
 def encode_eigenspace(space: Eigenspace) -> bytes:
     """The body of an eigenspace file: an ASCII header line with the shape
     and fingerprint, then the mean, the eigenvalues and each basis column

@@ -16,8 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .classifiers import (DEFAULT_THRESHOLD, AconModel, OconEnsemble,
-                          classify_acon, verify)
+from .classifiers import AconModel, OconEnsemble, classify_acon
 from .errors import InvalidConfig, ProtocolError
 from .mlp import TrainingTrace, forward
 
@@ -25,11 +24,11 @@ from .mlp import TrainingTrace, forward
 @dataclass(frozen=True)
 class Protocol:
     """How evaluate_all builds each class's test set; seed (>= 0) seeds
-    the draw of its negatives."""
+    the draw of its negatives. An OCON class accepts a score >= threshold."""
 
     n_pos: int = 10
     n_neg: int = 10
-    threshold: float = DEFAULT_THRESHOLD
+    threshold: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -112,11 +111,13 @@ def evaluate_all(models, test_samples,
     are left out of the average). Each becomes (class_id, model) rows,
     OCON's by class id and ACON's in class_ids order. The architecture's
     decision is chosen once: an OCON class accepts an exemplar when its
-    net's output passes protocol.threshold, an ACON class when it wins
+    net's output is at least protocol.threshold, an ACON class when it wins
     the argmax, scored once per sample. Every row is tallied through it.
     """
     vectors = [np.asarray(f, dtype=np.float64) for f, _ in test_samples]
     labels = [cid for _, cid in test_samples]
+    if isinstance(models, OconEnsemble):
+        models = {m.class_id: m for m in models.models}
     if isinstance(models, AconModel):
         mode = "ACON"
         table = [(cid, models) for cid in models.class_ids]
@@ -124,18 +125,14 @@ def evaluate_all(models, test_samples,
 
         def accepts(cid, model, i) -> bool:
             return winner(i) == cid
-    else:
-        if isinstance(models, OconEnsemble):
-            by_id: Mapping = {m.class_id: m for m in models.models}
-        elif isinstance(models, Mapping):
-            by_id = models
-        else:
-            raise TypeError(f"cannot evaluate {type(models).__name__}")
+    elif isinstance(models, Mapping):
         mode = "OCON"
-        table = [(cid, by_id[cid]) for cid in sorted(by_id)]
+        table = sorted(models.items())
 
         def accepts(cid, model, i) -> bool:
-            return verify(forward(model.weights, vectors[i])[0], protocol.threshold)
+            return forward(model.weights, vectors[i])[0] >= protocol.threshold
+    else:
+        raise TypeError(f"cannot evaluate {type(models).__name__}")
 
     rows = []
     for cid, model in table:

@@ -10,6 +10,7 @@ by pixel noise and a linear illumination gradient.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,9 +172,10 @@ def load_manifest(path: str | Path) -> tuple[list[Path], list[Sample]]:
 
     Each non-empty, non-comment line reads `path<TAB>class_id<TAB>role`
     with role in {train, test}; paths resolve relative to the manifest's
-    directory. This is the one judge of the records: a test record's
-    class needs a training record (else ManifestSyntax on its line), and
-    then the manifest needs a training record (else InsufficientData).
+    directory, and x.pgm and ./x.pgm are one path. This is the one judge
+    of the records: a test record's class needs a training record (else
+    ManifestSyntax on its line), and then the manifest needs a training
+    record (else InsufficientData).
     Returns each record's image path and Sample, as two lists in record
     order. A FileError names the manifest or image it cannot read, and
     parse_pgm's error for a malformed image names the image.
@@ -184,7 +186,7 @@ def load_manifest(path: str | Path) -> tuple[list[Path], list[Sample]]:
     except (OSError, UnicodeDecodeError) as exc:
         raise FileError(f"cannot read manifest {path}: {exc}") from exc
 
-    records: dict[str, tuple[Path, int, str, int]] = {}   # by path as listed
+    records: dict[str, tuple[Path, int, str, int]] = {}   # by absolute path
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -201,9 +203,10 @@ def load_manifest(path: str | Path) -> tuple[list[Path], list[Sample]]:
             raise ManifestSyntax(f"class id must be >= 1, got {class_id}", lineno)
         if role not in ROLES:
             raise ManifestSyntax(f"bad role {role!r}", lineno)
-        if rel in records:
+        key = os.path.abspath(path.parent / rel)
+        if key in records:
             raise ManifestSyntax(f"duplicate path {rel!r}", lineno)
-        records[rel] = (path.parent / rel, class_id, role, lineno)
+        records[key] = (path.parent / rel, class_id, role, lineno)
 
     trained = {cid for _, cid, role, _ in records.values() if role == "train"}
     for _, class_id, _, lineno in records.values():

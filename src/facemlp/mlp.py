@@ -48,14 +48,6 @@ class Topology:
             raise InvalidConfig(f"layer sizes must be >= 1, got {sizes}")
         object.__setattr__(self, "layer_sizes", sizes)
 
-    @property
-    def input_size(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
-    def output_size(self) -> int:
-        return self.layer_sizes[-1]
-
 
 @dataclass(eq=False)
 class Weights:

@@ -3,8 +3,8 @@
 The pool is a set of local worker processes standing in for the separate
 machines a networked deployment would use: jobs are independent, training
 is seed-deterministic, so the outcome is bit-identical however the jobs
-are spread. An OconRun holds the inputs, topology and config once, and
-each job only its class's targets, so a worker's jobs train as one
+are spread. An OconRun holds the inputs, hidden width and config once,
+and each job only its class's targets, so a worker's jobs train as one
 lockstep stack (mlp.train_group), sharing NumPy's per-call overhead with
 no change to any net's arithmetic: processes split the classes, lockstep
 speeds up each process. The calling process is the pool's last worker:
@@ -52,16 +52,17 @@ class TrainingJob:
 
 @dataclass(eq=False)
 class OconRun:
-    """The pool's input: the (n, d) training matrix, the topology and the
-    config every OCON net shares, and one job per class. Job c trains
-    from seed config.seed + c, so retraining one class disturbs no other.
-    A job whose targets are not an (n, 1) column over the n inputs, or
-    whose seed is negative, fails the whole run as it is built, so it
-    cannot fail differently at different worker counts.
+    """The pool's input: the (n, d) training matrix, the hidden width and
+    the config that every OCON net, a (d, hidden, 1) net, shares, and one
+    job per class. Job c trains from seed config.seed + c, so retraining
+    one class disturbs no other. Any fault in these (no (n, d) inputs,
+    hidden < 1, targets not an (n, 1) column, a negative seed) fails the
+    whole run as it is built, so it cannot fail differently at different
+    worker counts.
     """
 
     inputs: np.ndarray
-    topology: Topology
+    hidden: int
     config: TrainingConfig
     jobs: list[TrainingJob]
 
@@ -69,9 +70,12 @@ class OconRun:
         ids = [j.class_id for j in self.jobs]
         if not ids or len(set(ids)) != len(ids):
             raise InvalidConfig(f"a run needs one job per class, got ids {ids}")
+        if np.ndim(self.inputs) != 2 or not np.size(self.inputs):
+            raise InvalidConfig(f"run inputs shape {np.shape(self.inputs)}, "
+                                f"expected a non-empty (n, d) matrix")
+        if self.hidden < 1:
+            raise InvalidConfig(f"hidden width must be >= 1, got {self.hidden}")
         wanted = (len(self.inputs), 1)
-        if not wanted[0]:
-            raise InvalidConfig("run has no samples")
         for job in self.jobs:
             if np.shape(job.targets) != wanted:
                 raise DimensionMismatch(f"class {job.class_id} targets shape "
@@ -79,6 +83,11 @@ class OconRun:
             seed = self.config.seed + job.class_id
             if seed < 0:
                 raise InvalidConfig(f"class {job.class_id} trains from seed {seed} < 0")
+
+    @property
+    def topology(self) -> Topology:
+        """Every net's layer sizes: (input width, hidden, 1)."""
+        return Topology((self.inputs.shape[1], self.hidden, 1))
 
 
 @dataclass(frozen=True)
@@ -145,13 +154,22 @@ def _gather(bucket: list[TrainingJob], outcomes: Callable) -> list[JobOutcome]:
         return [JobOutcome(j.class_id, exception=exc) for j in bucket]
 
 
-def _fork(run: OconRun, bucket: list[TrainingJob]):
-    """Fork a child that pipes the bucket's outcomes back; return its pid and
-    the read end. It leaves by os._exit: no return to the caller, no flush."""
+def _fork(run: OconRun, bucket: list[TrainingJob], children: dict) -> list:
+    """Fork a child that pipes the bucket's outcomes back, and enter it as
+    children[pid] = (bucket, read end); its outcomes come at the reap, so
+    none are returned. A fork that fails closes the pipe and raises. The
+    child leaves by os._exit: no return to the caller, no flush."""
     read, write = os.pipe()
-    if pid := os.fork():
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
         os.close(write)
-        return pid, os.fdopen(read, "rb")
+        raise
+    if pid:
+        os.close(write)
+        children[pid] = bucket, os.fdopen(read, "rb")
+        return []
     try:
         with os.fdopen(write, "wb") as pipe:
             pickle.dump(_gather(bucket, lambda: _run_job_list(run, bucket)), pipe)
@@ -178,16 +196,17 @@ def run_pool(run: OconRun, pool: PoolConfig) -> list[JobOutcome]:
     jobs share no state, each is deterministic, and a job's arithmetic is
     the same whichever stack it trains in. The last bucket trains in this
     process, each other one in a forked child. A diverging net fails
-    alone; any other failure (WorkerDied for a dead child) fails its own
-    bucket. No child outlives the call, even if this process raises.
+    alone; any other failure (WorkerDied for a dead child, OSError for a
+    fork that failed) fails its own bucket. No child outlives the call,
+    even if this process raises.
     """
     *forked, own = allocate(run, pool)
     children = {}                       # pid -> (bucket, pipe) until reaped
+    outcomes = []
     try:
         for bucket in forked:
-            pid, pipe = _fork(run, bucket)
-            children[pid] = bucket, pipe
-        outcomes = _gather(own, lambda: _run_job_list(run, own))
+            outcomes += _gather(bucket, lambda: _fork(run, bucket, children))
+        outcomes += _gather(own, lambda: _run_job_list(run, own))
         for pid, (bucket, pipe) in list(children.items()):
             outcomes += _gather(bucket, lambda: _reap(pid, pipe))
             del children[pid]

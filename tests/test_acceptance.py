@@ -29,7 +29,7 @@ from facemlp.classifiers import (
     classify_ocon,
     train_acon,
 )
-from facemlp.eigenspace import compute_eigenspace, project, reconstruct
+from facemlp.eigenspace import compute_eigenspace, project
 from facemlp.errors import ChecksumMismatch
 from facemlp.evaluator import Protocol, evaluate_all, render_report
 from facemlp.imageio import generate_synthetic, to_vector
@@ -98,12 +98,12 @@ def experiment():
                             max_epochs=20000, seed=2)
     inputs = np.array([f for f, _ in ftrain])
     labels = np.array([c for _, c in ftrain])
-    jobs = OconRun(inputs, Topology((40, 20, 1)), config,
+    jobs = OconRun(inputs, 20, config,
                    [TrainingJob(cid, build_ocon_task(cid, labels))
                     for cid in range(1, 11)])
     outcomes = run_pool(jobs, PoolConfig(workers=1))
     assert all(o.model is not None for o in outcomes)
-    ensemble = OconEnsemble([o.model for o in outcomes], 40)
+    ensemble = OconEnsemble([o.model for o in outcomes])
     acon = train_acon(ftrain, 60, config)
     return {
         "ftrain": ftrain,
@@ -118,8 +118,7 @@ def test_criterion_1_pinned_rate_regression():
     ok = False
     detail = ""
     try:
-        ensemble = OconEnsemble([keyed_subnet(c, 10) for c in range(1, 11)],
-                                10)
+        ensemble = OconEnsemble([keyed_subnet(c, 10) for c in range(1, 11)])
         report = evaluate_all(ensemble, keyed_features(10, PINNED_WRONG),
                               Protocol())
         rates = tuple(r.rate for r in report.per_class)
@@ -199,7 +198,7 @@ def test_criterion_3_eigenspace_properties():
         for m in range(1, 20):
             sub = compute_eigenspace(vectors, m=m)
             total = sum(
-                np.sum((reconstruct(sub, project(sub, v)) - v) ** 2)
+                np.sum((sub.mean + sub.basis @ project(sub, v) - v) ** 2)
                 for v in vectors)
             errors.append(total)
         assert all(errors[i + 1] <= errors[i] + 1e-9
@@ -430,8 +429,7 @@ def test_criterion_9_exhaustive_testing(monkeypatch):
 
         monkeypatch.setattr(classifiers_mod, "forward", counting_forward)
         k = 10
-        ensemble = OconEnsemble([keyed_subnet(c, k) for c in range(1, k + 1)],
-                                k)
+        ensemble = OconEnsemble([keyed_subnet(c, k) for c in range(1, k + 1)])
         f = np.full(k, -1.0)
         f[0] = 1.0  # the first subnet already scores ~1.0
         classify_ocon(ensemble, f)

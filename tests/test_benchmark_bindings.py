@@ -145,12 +145,15 @@ def test_result_fields_the_tracer_and_checks_read(tmp_path):
         assert isinstance(trace.goal_met, bool)
         assert trace.wall_time > 0
 
-    ensemble = classifiers.OconEnsemble([o.model for o in outcomes], 3)
-    assert [m.class_id for m in ensemble.models] == [1, 2, 3]
+    # check_worker_invariance persists each of train_ocon(...).models.
+    models = classifiers.train_ocon(samples, 3, config,
+                                    pool=parallel.PoolConfig(workers=1)).models
+    assert [m.class_id for m in models] == [1, 2, 3]
     store = parallel.WeightStore((tmp_path / "a", tmp_path / "b"))
-    persisted = parallel.persist(ensemble.models[0], store)
-    assert persisted.written == [tmp_path / "a" / "class_1.wts",
-                                 tmp_path / "b" / "class_1.wts"]
+    for model in models:
+        name = parallel.class_filename(model.class_id)
+        assert parallel.persist(model, store).written \
+            == [tmp_path / "a" / name, tmp_path / "b" / name]
     report = evaluator.evaluate_all(acon, samples,
                                     evaluator.Protocol(n_pos=2, n_neg=2))
     assert [r.n_test for r in report.per_class] == [4, 4, 4]

@@ -13,7 +13,6 @@ from facemlp.classifiers import (
     classify_ocon,
     train_acon,
     train_ocon,
-    verify,
 )
 from facemlp.errors import (
     DimensionMismatch,
@@ -154,6 +153,17 @@ def test_train_ocon_is_deterministic():
             assert np.array_equal(x, y)
 
 
+def test_train_ocon_raises_a_failed_class_exception(monkeypatch):
+    import facemlp.parallel as parallel
+
+    def failing(*args):
+        raise MemoryError("no room for the stack")
+
+    monkeypatch.setattr(parallel, "train_group", failing)
+    with pytest.raises(MemoryError, match="no room for the stack"):
+        train_ocon(separable_two_class(), 6, TrainingConfig(max_epochs=5))
+
+
 def test_train_ocon_needs_two_classes():
     with pytest.raises(InsufficientClasses):
         train_ocon(labeled([([0.0, 0.0], 1)]), config=TrainingConfig())
@@ -179,7 +189,7 @@ def test_train_acon_learns_separable_data():
 
 
 def test_classify_ocon_argmax():
-    ensemble = OconEnsemble([keyed_subnet(c, 4) for c in (1, 2, 3, 4)], 4)
+    ensemble = OconEnsemble([keyed_subnet(c, 4) for c in (1, 2, 3, 4)])
     f = np.full(4, -1.0)
     f[2] = 1.0
     predicted, scores = classify_ocon(ensemble, f)
@@ -193,7 +203,7 @@ def test_classify_ocon_tie_takes_lowest_id():
     w = np.ones((1, 3))
     models = [ClassModel(cid, Weights([w.copy()], [np.zeros(1)]))
               for cid in (5, 2, 9)]
-    predicted, scores = classify_ocon(OconEnsemble(models, 3), np.ones(3))
+    predicted, scores = classify_ocon(OconEnsemble(models), np.ones(3))
     assert predicted == 2
     assert scores[0] == scores[1] == scores[2]
 
@@ -209,7 +219,7 @@ def test_classify_ocon_evaluates_every_subnet(monkeypatch):
         return real(weights, x)
 
     monkeypatch.setattr(mod, "forward", counting)
-    ensemble = OconEnsemble([keyed_subnet(c, 6) for c in range(1, 7)], 6)
+    ensemble = OconEnsemble([keyed_subnet(c, 6) for c in range(1, 7)])
     f = np.full(6, -1.0)
     f[0] = 1.0  # class 1 scores ~1.0 immediately
     classify_ocon(ensemble, f)
@@ -238,7 +248,7 @@ def test_classify_acon_tie_takes_lowest_id():
 
 
 def test_classify_dimension_mismatch():
-    ensemble = OconEnsemble([keyed_subnet(1, 4), keyed_subnet(2, 4)], 4)
+    ensemble = OconEnsemble([keyed_subnet(1, 4), keyed_subnet(2, 4)])
     with pytest.raises(DimensionMismatch):
         classify_ocon(ensemble, np.zeros(5))
 
@@ -252,24 +262,20 @@ def test_argmax_invariant_under_monotone_transform(percents):
         # single-unit net with constant output sigma(b) = s
         b = np.array([np.log(s / (1 - s))])
         models.append(ClassModel(i, Weights([np.zeros((1, 1))], [b])))
-    ensemble = OconEnsemble(models, 1)
+    ensemble = OconEnsemble(models)
     first, raw = classify_ocon(ensemble, np.zeros(1))
     assert first == 1 + int(np.argmax(raw))
     # scaling all scores by the same monotone map keeps the winner
     assert first == 1 + int(np.argmax(2.0 * raw + 1.0))
 
 
-def test_verify_threshold_boundary():
-    assert verify(0.9, 0.5)
-    assert verify(0.5, 0.5)
-    assert not verify(0.4999, 0.5)
-
-
 def test_ensemble_validation():
     with pytest.raises(ValueError):
-        OconEnsemble([keyed_subnet(1, 4), keyed_subnet(1, 4)], 4)
+        OconEnsemble([keyed_subnet(1, 4), keyed_subnet(1, 4)])
     with pytest.raises(DimensionMismatch):
-        OconEnsemble([keyed_subnet(1, 4)], 5)
+        OconEnsemble([keyed_subnet(1, 4), keyed_subnet(2, 5)])
+    assert OconEnsemble([keyed_subnet(2, 5), keyed_subnet(1, 5)]).class_ids \
+        == [2, 1]
 
 
 def test_acon_model_validation():

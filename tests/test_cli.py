@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import os
 import shutil
@@ -786,6 +787,49 @@ def test_train_stores_this_process_nets_when_a_worker_dies(tmp_path, capsys,
         for name in ("class_2.wts", "eigenspace.txt"):
             assert (tmp_path / root / name).read_bytes() \
                 == (tmp_path / "clean" / name).read_bytes()
+
+
+def test_train_stores_this_process_nets_when_a_fork_fails(tmp_path, capsys,
+                                                          monkeypatch):
+    # At 2 workers class 1 was to train in a forked process and class 2 in
+    # this one. The fork raises: class 1 fails (exit 3), class 2 is
+    # stored, and no traceback escapes.
+    data = synth(tmp_path)
+
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    code, out, err = run_main(capsys, "train", "--data", str(data),
+                              "--store", store_arg(tmp_path), *SPEED,
+                              "--workers", "2")
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"class 1: training failed: [Errno "
+                                f"{errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"]
+    assert out.startswith("class 2: ")
+    assert sorted(p.name for p in (tmp_path / "ra").glob("*.wts")) \
+        == ["class_2.wts"]
+
+
+def test_train_in_which_no_net_trains_writes_nothing(tmp_path, capsys,
+                                                     monkeypatch):
+    # Each class's failure is named, then one error line; the store root
+    # is not even created, so a fresh store stays empty.
+    data = synth(tmp_path)
+
+    def failing(*args):
+        raise MemoryError("no room for the stack")
+
+    monkeypatch.setattr(parallel, "train_group", failing)
+    code, out, err = run_main(capsys, "train", "--data", str(data),
+                              "--store", store_arg(tmp_path), *SPEED)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "class 1: training failed: no room for the stack",
+        "class 2: training failed: no room for the stack",
+        "error: no network trained; nothing was stored"]
+    assert not (tmp_path / "ra").exists() and not (tmp_path / "rb").exists()
 
 
 def test_evaluate_rejects_an_eigenspace_of_other_inputs(tmp_path, capsys):

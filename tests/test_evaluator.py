@@ -70,6 +70,21 @@ def test_constant_low_scorer_gets_negatives_only():
     assert result.rate == 50.0
 
 
+def test_ocon_threshold_boundary_accepts():
+    # The one OCON accept rule is score >= threshold, 0.5 by default.
+    assert Protocol().threshold == 0.5
+    for score, accepts in ((0.9, True), (0.5, True), (0.4999, False)):
+        report = evaluate_all({1: constant_subnet(1, 2, score)},
+                              [(np.zeros(2), 1), (np.ones(2), 2)],
+                              Protocol(n_pos=1, n_neg=0, threshold=0.5))
+        assert report.per_class[0].correct == accepts, score
+
+
+def test_evaluate_all_rejects_a_value_that_is_not_a_model():
+    with pytest.raises(TypeError, match="cannot evaluate list"):
+        evaluate_all([keyed_subnet(1, 2)], [(np.zeros(2), 1), (np.ones(2), 2)])
+
+
 def test_eighteen_of_twenty_is_ninety_percent():
     model = keyed_subnet(2, 4)
     good = np.array([-1.0, 1.0, -1.0, -1.0])
@@ -131,7 +146,7 @@ def test_protocol_seed_must_not_be_negative():
 
 
 def test_evaluate_all_requires_positives():
-    ensemble = OconEnsemble([keyed_subnet(1, 2), keyed_subnet(2, 2)], 2)
+    ensemble = OconEnsemble([keyed_subnet(1, 2), keyed_subnet(2, 2)])
     samples = [(np.zeros(2), 2)]
     with pytest.raises(ProtocolError) as err:
         evaluate_all(ensemble, samples)
@@ -139,14 +154,14 @@ def test_evaluate_all_requires_positives():
 
 
 def test_evaluate_all_requires_negative_pool():
-    ensemble = OconEnsemble([keyed_subnet(1, 2), keyed_subnet(2, 2)], 2)
+    ensemble = OconEnsemble([keyed_subnet(1, 2), keyed_subnet(2, 2)])
     samples = [(np.zeros(2), 1)]
     with pytest.raises(ProtocolError):
         evaluate_all(ensemble, samples)
 
 
 def test_evaluate_all_negative_draw_is_deterministic():
-    ensemble = OconEnsemble([keyed_subnet(c, 3) for c in (1, 2, 3)], 3)
+    ensemble = OconEnsemble([keyed_subnet(c, 3) for c in (1, 2, 3)])
     rng = np.random.default_rng(0)
     samples = []
     for cid in (1, 2, 3):
@@ -194,7 +209,7 @@ def test_evaluate_all_calls_each_class_once(monkeypatch):
         return real(class_id, accepts, positives, negatives)
 
     monkeypatch.setattr(mod, "_tally", spy)
-    ensemble = OconEnsemble([keyed_subnet(c, 4) for c in (1, 2, 3, 4)], 4)
+    ensemble = OconEnsemble([keyed_subnet(c, 4) for c in (1, 2, 3, 4)])
     evaluate_all(ensemble, keyed_features(4, [0, 0, 0, 0]))
     assert seen == [1, 2, 3, 4]
 
@@ -206,7 +221,7 @@ def test_evaluate_all_calls_each_class_once(monkeypatch):
 
 def test_render_table_layout():
     report = evaluate_all(
-        OconEnsemble([keyed_subnet(c, 2) for c in (1, 2)], 2),
+        OconEnsemble([keyed_subnet(c, 2) for c in (1, 2)]),
         keyed_features(2, [0, 2]))
     text = render_report(report, "table")
     lines = text.splitlines()
@@ -218,7 +233,7 @@ def test_render_table_layout():
 
 def test_render_csv_round_trips_exact_values():
     report = evaluate_all(
-        OconEnsemble([keyed_subnet(c, 3) for c in (1, 2, 3)], 3),
+        OconEnsemble([keyed_subnet(c, 3) for c in (1, 2, 3)]),
         keyed_features(3, [0, 4, 2]))
     text = render_report(report, "csv")
     lines = text.splitlines()
@@ -235,7 +250,7 @@ def test_render_csv_round_trips_exact_values():
 
 def test_table_and_csv_agree():
     report = evaluate_all(
-        OconEnsemble([keyed_subnet(c, 2) for c in (1, 2)], 2),
+        OconEnsemble([keyed_subnet(c, 2) for c in (1, 2)]),
         keyed_features(2, [2, 0]))
     table = render_report(report, "table")
     csv = render_report(report, "csv")

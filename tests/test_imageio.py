@@ -125,6 +125,15 @@ def test_truncated_ascii_payload():
         parse_pgm(b"P2\n2 2\n255\n1 2 3")
 
 
+def test_ascii_raster_ends_at_a_comment_or_its_last_sample():
+    # Tokens past width x height are not read, whatever they are; a `#`
+    # token ends the raster, so one before the last sample truncates it.
+    for tail in (b"9 11 x\n", b"9 # note\n"):
+        assert parse_pgm(b"P2\n2 1\n255\n7 " + tail).pixels.tolist() == [7, 9]
+    with pytest.raises(TruncatedImage, match="expected 2 samples, got 1"):
+        parse_pgm(b"P2\n2 1\n255\n7 #9\n")
+
+
 def test_ascii_sample_over_255():
     with pytest.raises(UnsupportedDepth):
         parse_pgm(b"P2\n2 1\n255\n1 300")
@@ -272,6 +281,15 @@ def test_dataset_roundtrip(tmp_path):
     assert len(paths) == 6
 
 
+def test_write_dataset_names_a_file_it_cannot_write(tmp_path):
+    samples = [Sample(make_image(2, 2), 1, "train")]
+    for name in ("class01_train000.pgm", "manifest.tsv"):
+        out = tmp_path / name.split(".")[0]
+        (out / name).mkdir(parents=True)       # a directory is in the way
+        with pytest.raises(FileError, match=f"cannot write {out / name}"):
+            write_dataset(samples, out)
+
+
 def _write_manifest(tmp_path, body):
     p = tmp_path / "manifest.tsv"
     p.write_text(body, encoding="utf-8")
@@ -300,10 +318,14 @@ def test_manifest_bad_role(tmp_path):
 
 
 def test_manifest_duplicate_path(tmp_path):
-    p = _write_manifest(tmp_path, "a.pgm\t1\ttrain\na.pgm\t1\ttest\n")
-    with pytest.raises(ManifestSyntax) as err:
-        load_manifest(p)
-    assert err.value.line == 2
+    # One image is one record, however its path is spelled: read twice,
+    # it would be both a training and a test image.
+    (tmp_path / "a.pgm").write_bytes(serialize_pgm(make_image(2, 2)))
+    for again in ("a.pgm", "./a.pgm", "sub/../a.pgm"):
+        p = _write_manifest(tmp_path, f"a.pgm\t1\ttrain\n{again}\t1\ttest\n")
+        with pytest.raises(ManifestSyntax, match="duplicate path") as err:
+            load_manifest(p)
+        assert err.value.line == 2
 
 
 def test_manifest_test_without_train(tmp_path):

@@ -24,8 +24,7 @@ XOR_T = np.array([[0.0], [1.0], [1.0], [0.0]])
 
 
 def test_topology_validation():
-    assert Topology((2, 3, 1)).input_size == 2
-    assert Topology((2, 3, 1)).output_size == 1
+    assert Topology((2, 3, 1)).layer_sizes == (2, 3, 1)
     with pytest.raises(InvalidConfig):
         Topology((4,))
     with pytest.raises(InvalidConfig):

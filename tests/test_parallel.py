@@ -1,3 +1,4 @@
+import errno
 import os
 import pickle
 import signal
@@ -40,7 +41,8 @@ from facemlp.parallel import (
 )
 from facemlp.store import frame, verify
 
-TOPO = Topology((2, 3, 1))
+HIDDEN = 3
+TOPO = Topology((2, HIDDEN, 1))      # every net of a run over INPUTS
 CFG = TrainingConfig(learning_rate=0.3, momentum=0.8, goal=1e-2,
                      max_epochs=400, seed=0)
 
@@ -56,7 +58,7 @@ def sample_targets(class_id):
 def make_jobs(count, targets=None):
     """A run of classes 1..count; targets maps a class id to its own."""
     targets = targets or {}
-    return OconRun(INPUTS, TOPO, CFG,
+    return OconRun(INPUTS, HIDDEN, CFG,
                    [TrainingJob(i, targets.get(i, sample_targets(i)))
                     for i in range(1, count + 1)])
 
@@ -385,6 +387,30 @@ def test_a_dead_worker_fails_only_its_own_bucket(monkeypatch):
             assert same_models(a.model, b.model)
 
 
+def test_a_failed_fork_fails_only_its_own_bucket(monkeypatch):
+    # A fork that raises (EAGAIN at the process limit) starts no process:
+    # its pipe is closed, each job of its bucket reports the error, and
+    # the bucket this process trains stands byte for byte. At 3 workers
+    # jobs 1 and 4, and 2 and 5, were to fork; job 3 trains here.
+    reference = run_pool(make_jobs(5), PoolConfig(workers=1))
+
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    open_fds = len(os.listdir("/dev/fd"))
+    outcomes = run_pool(make_jobs(5), PoolConfig(workers=3))
+    assert len(os.listdir("/dev/fd")) == open_fds
+    assert [o.class_id for o in outcomes] == [1, 2, 3, 4, 5]
+    for a, b in zip(reference, outcomes):
+        if b.class_id == 3:
+            assert b.exception is None
+            assert same_models(a.model, b.model)
+        else:
+            assert b.model is None
+            assert isinstance(b.exception, BlockingIOError)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -417,14 +443,27 @@ def test_no_child_outlives_a_run_whose_own_bucket_raises(monkeypatch):
 
 def test_run_pool_rejects_duplicate_ids():
     with pytest.raises(InvalidConfig):
-        OconRun(INPUTS, TOPO, CFG, [TrainingJob(1, sample_targets(1)),
-                                    TrainingJob(1, sample_targets(2))])
+        OconRun(INPUTS, HIDDEN, CFG, [TrainingJob(1, sample_targets(1)),
+                                      TrainingJob(1, sample_targets(2))])
 
 
 def test_job_requires_samples():
     with pytest.raises(InvalidConfig):
-        OconRun(np.empty((0, 2)), TOPO, CFG,
+        OconRun(np.empty((0, 2)), HIDDEN, CFG,
                 [TrainingJob(1, np.empty((0, 1)))])
+
+
+def test_a_run_derives_its_topology_from_its_inputs():
+    # Every net of a run is (input width, hidden, 1), so the run cannot
+    # name another width than its matrix's. A run whose nets cannot be
+    # built fails as it is built, not in each bucket.
+    jobs = make_jobs(2).jobs
+    assert make_jobs(2).topology == TOPO
+    assert OconRun(INPUTS[:, :1], 5, CFG, jobs).topology == Topology((1, 5, 1))
+    for inputs, hidden in ((INPUTS, 0), (INPUTS[:, 0], HIDDEN),
+                           (np.empty((6, 0)), HIDDEN)):
+        with pytest.raises(InvalidConfig):
+            OconRun(inputs, hidden, CFG, jobs)
 
 
 def test_persist_replicates_identically(tmp_path):
