@@ -19,6 +19,7 @@ from .eigenspace import (
     EIGENSPACE_FILENAME,
     compute_eigenspace,
     encode_eigenspace,
+    fingerprint,
     load_eigenspace,
     project,
 )
@@ -114,10 +115,24 @@ def _skipped(path: Path, exc: Exception) -> None:
     _warn(f"skipped replica {path}: {exc}")
 
 
-def _space_reader():
-    """load_eigenspace for one pass over a store: a replica whose bytes
-    equal those of one parsed before is that space, not parsed again."""
-    parsed = []
+def _stored_eigenspace(store: WeightStore, train_vectors,
+                       m: int | None = None):
+    """The store's eigenspace of train_vectors and the roots holding it,
+    or (None, []) when no root holds a valid replica.
+
+    Each root's replica is read once; one whose bytes equal an earlier
+    root's is that space, not parsed again. The training matrix is CRC'd
+    once, and only when some replica is valid. A replica is this data's
+    when its fingerprint is <crc>:<m> for train, or for evaluate, which
+    passes no m, <crc>:<its own m>. Any other valid replica is another
+    space, and the weight files beside it were trained on that space.
+    train refuses such a store, naming the root: it writes its space to
+    every root, which would vouch for those files. evaluate takes the
+    first replica of this data and reads weights only from the roots
+    holding that space; it refuses the store only when no valid replica
+    is this data's.
+    """
+    parsed = []                         # (bytes, space) of each replica parsed
 
     def read(path: Path):
         raw = path.read_bytes()
@@ -126,43 +141,29 @@ def _space_reader():
             space = load_eigenspace(path, raw)
             parsed.append((raw, space))
         return space
-    return read
 
-
-def _stored_eigenspace(store: WeightStore, train_vectors,
-                       m: int | None = None):
-    """The store's eigenspace and the roots holding it, or (None, []) when
-    no root holds a valid replica. Each root's replica is read once.
-
-    A valid replica built from another training matrix, or for train from
-    another requested m, is another space, and the weight files beside it
-    were trained on that space. train refuses such a store, naming the
-    root: it writes its space to every root, which would vouch for those
-    files. evaluate passes no m: it takes the first replica built from
-    train_vectors, at the m it was built with, and reads weights only from
-    the roots holding that space. It refuses the store only when no valid
-    replica was built from train_vectors.
-    """
     replicas = [(root, space) for root, space in read_each(
-        store, EIGENSPACE_FILENAME, _space_reader(), _skipped)
-        if space is not None]
-    expected, ours, others = {}, [], []
+        store, EIGENSPACE_FILENAME, read, _skipped) if space is not None]
+    if not replicas:
+        return None, []
+    crc = fingerprint(train_vectors, m).rpartition(":")[0]   # m cut off
+
+    def this_data(fp: str) -> str:
+        return f"{crc}:{fp.rpartition(':')[2] if m is None else m}"
+
+    ours, others = [], []
     for root, space in replicas:
         fp = space.fingerprint
-        if fp not in expected:      # one CRC of train_vectors per fingerprint
-            expected[fp] = space.expected_fingerprint(train_vectors, m)
-        (ours if fp == expected[fp] else others).append((root, space))
+        (ours if fp == this_data(fp) else others).append((root, space))
     if others and (m is not None or not ours):
         root, space = others[0]
         raise InvalidConfig(
             f"stored eigenspace was built from other inputs "
             f"({root / EIGENSPACE_FILENAME} has fingerprint "
-            f"{space.fingerprint}, this run {expected[space.fingerprint]}); "
+            f"{space.fingerprint}, this run {this_data(space.fingerprint)}); "
             f"use the --data, --downsample and (for train) --components it "
             f"was built with, or train into a fresh --store"
         )
-    if not ours:
-        return None, []
     space = ours[0][1]
     return space, [r for r, s in ours if s.fingerprint == space.fingerprint]
 
@@ -263,13 +264,14 @@ def cmd_evaluate(args) -> int:
     store = WeightStore(tuple(roots))
     test_features = [(project(space, v), c) for v, c in test_pairs]
 
+    classes, width = sorted({c for _, c in train_pairs}), space.components
     if args.mode == "acon":
-        models = parallel.load_acon(store, _skipped)
+        models = parallel.load_acon(store, _skipped, width, classes)
     else:
         models = {}
-        for cid in sorted({c for _, c in train_pairs}):
+        for cid in classes:
             try:
-                models[cid] = parallel.load(cid, store, _skipped)
+                models[cid] = parallel.load(cid, store, _skipped, width)
             except WeightsUnavailable as exc:
                 models[cid] = None
                 _warn(exc)

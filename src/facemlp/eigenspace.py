@@ -60,11 +60,6 @@ class Eigenspace:
     def components(self) -> int:
         return self.basis.shape[1]
 
-    def expected_fingerprint(self, train_vectors, m=None) -> str:
-        """fingerprint() of train_vectors at m, by default this space's m."""
-        built_m = self.fingerprint.rpartition(":")[2]
-        return fingerprint(train_vectors, built_m if m is None else m)
-
 
 def eig_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a real symmetric matrix with LAPACK (numpy.linalg.eigh,

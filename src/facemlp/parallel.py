@@ -283,18 +283,27 @@ def read_weight_file(path: str | Path) -> ClassModel:
     return ClassModel(header_ids[0], weights)
 
 
-def load(class_id: int, store: WeightStore,
-         on_skip: Callable | None = None) -> ClassModel:
+def _check_width(path: Path, weights: Weights, width: int | None) -> None:
+    """Reject a net whose input width is not width, unless width is None."""
+    if width is not None and weights.layer_sizes[0] != width:
+        raise DimensionMismatch(f"{path}: input width "
+                                f"{weights.layer_sizes[0]}, expected {width}")
+
+
+def load(class_id: int, store: WeightStore, on_skip: Callable | None = None,
+         width: int | None = None) -> ClassModel:
     """Fetch a class model from the first root holding a valid replica.
 
-    A replica that is corrupt or holds another class is passed over and
-    reported to on_skip; only when every root fails does the class
-    become WeightsUnavailable.
+    A replica that is corrupt, holds another class or, when width is
+    given, takes another input width (the eigenspace's components) is
+    passed over and reported to on_skip; only when every root fails does
+    the class become WeightsUnavailable.
     """
     def read(path: Path) -> ClassModel:
         model = read_weight_file(path)
         if model.class_id != class_id:
             raise FormatError(f"{path}: holds class {model.class_id}")
+        _check_width(path, model.weights, width)
         return model
 
     model = read_replicated(store, class_filename(class_id), read, on_skip)
@@ -310,15 +319,25 @@ def persist_acon(model: AconModel, store: WeightStore) -> PersistOutcome:
                             _serialize(header, model.weights))
 
 
-def _read_acon(path: Path) -> AconModel:
-    class_ids, weights = _parse(path.read_bytes(), "ACONW1", path)
-    return AconModel(tuple(class_ids), weights)
+def load_acon(store: WeightStore, on_skip: Callable | None = None,
+              width: int | None = None,
+              class_ids: list[int] | None = None) -> AconModel:
+    """The all-classes net from the first root holding a valid replica.
 
+    A replica that is corrupt or, when these are given, takes another
+    input width than width or scores another set of classes than
+    class_ids is passed over and reported to on_skip.
+    """
+    def read(path: Path) -> AconModel:
+        ids, weights = _parse(path.read_bytes(), "ACONW1", path)
+        model = AconModel(tuple(ids), weights)
+        _check_width(path, weights, width)
+        if class_ids is not None and sorted(ids) != sorted(class_ids):
+            raise FormatError(f"{path}: holds classes {sorted(ids)}, "
+                              f"expected {sorted(class_ids)}")
+        return model
 
-def load_acon(store: WeightStore,
-              on_skip: Callable | None = None) -> AconModel:
-    """The all-classes net from the first root holding a valid replica."""
-    model = read_replicated(store, ACON_FILENAME, _read_acon, on_skip)
+    model = read_replicated(store, ACON_FILENAME, read, on_skip)
     if model is None:
         raise StoreError(f"no valid replica of {ACON_FILENAME} in any root")
     return model

@@ -4,6 +4,7 @@ import io
 import os
 import shutil
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -575,21 +576,36 @@ def test_any_single_byte_mutation_keeps_evaluate_output(trained, name, root,
             assert name in err.getvalue()
 
 
+# Each replica donor of damage: the synth flags of its data and the extra
+# train flags of its build.
+BUILDS = {"another-build": ([*DATASET[:-1], "4"], []),
+          "another-width": (DATASET, ["--components", "4"]),
+          "another-classes": (["--classes", "3", *DATASET[2:]], [])}
+
+
 def damage(path: Path, how: str) -> None:
     """Break one artifact or data file: remove it, put a directory in its
     place, cut it to half its length, put bytes that are not UTF-8 at its
     start, set one value to NaN with the checksum recomputed, so that only
-    the value is wrong, or put in its place, and in place of its root's
-    eigenspace, the replicas of a build on other data."""
+    the value is wrong, or put in its place the replica of another build
+    (BUILDS): of other data, with its root's eigenspace too; of this data
+    at --components 4, a net of another input width; or of a 3-class data
+    set, an ACON net of other classes."""
     raw = path.read_bytes()
-    if how == "another-build":
+    if how in BUILDS:
         base = path.parent.parent
-        other, build = base / "other-data", base / "other-build"
-        assert main(["synth", "--out", str(other), *DATASET[:-1], "4"]) == 0
         mode = "acon" if path.name == "acon.wts" else "ocon"
-        assert run_train(base, other, str(build), "--mode", mode) == 0
-        for name in (path.name, "eigenspace.txt"):
-            shutil.copyfile(build / name, path.parent / name)
+        build = base / f"{how}-{mode}"
+        if not build.exists():
+            flags, extra = BUILDS[how]
+            data = base / f"{how}-{mode}-data"
+            assert main(["synth", "--out", str(data), *flags]) == 0
+            assert run_train(base, data, str(build), "--mode", mode,
+                             *extra) == 0
+        shutil.copyfile(build / path.name, path)
+        if how == "another-build":
+            shutil.copyfile(build / "eigenspace.txt",
+                            path.parent / "eigenspace.txt")
     elif how == "missing":
         path.unlink()
     elif how == "directory":
@@ -630,7 +646,20 @@ STORE_FAULTS = [(name, mode, how, roots)
     # build, no space of the data is stored: that exits 2, as
     # test_evaluate_rejects_an_eigenspace_of_other_inputs checks.
     ("class_1.wts", "ocon", "another-build", "first"),
-    ("acon.wts", "acon", "another-build", "first")]
+    ("acon.wts", "acon", "another-build", "first")] + [
+    # A net beside this data's space that takes another input width, or
+    # scores other classes, is passed over like a corrupt one.
+    (name, mode, how, roots)
+    for name, mode, how in [("class_1.wts", "ocon", "another-width"),
+                            ("acon.wts", "acon", "another-width"),
+                            ("acon.wts", "acon", "another-classes")]
+    for roots in ["first", "both"]]
+
+# The line that says an artifact is in no root.
+UNAVAILABLE = {
+    "eigenspace.txt": "error: no valid eigenspace.txt in any store root",
+    "class_1.wts": "warning: no valid replica for class 1",
+    "acon.wts": "error: no valid replica of acon.wts in any root"}
 
 
 @pytest.mark.parametrize("name, mode, how, roots", STORE_FAULTS)
@@ -638,22 +667,31 @@ def test_store_fault_matrix(trained, tmp_path, capsys, name, mode, how,
                             roots):
     # One damaged replica changes no output byte. With every replica
     # damaged the run exits 1, or 3 when one class's weights are gone,
-    # and says so in exactly one error: line.
+    # and says so in exactly one error: line. Each damaged replica that
+    # is present is named in one warning: skipped replica line.
     data, intact_roots, _ = trained
     args = ["evaluate", "--data", str(data), "--mode", mode, "--store"]
     _, intact, _ = run_main(capsys, *args,
                             ":".join(str(r) for r in intact_roots))
     copies = [shutil.copytree(r, tmp_path / r.name) for r in intact_roots]
-    for root in copies[: 1 if roots == "first" else 2]:
+    damaged = copies[: 1 if roots == "first" else 2]
+    for root in damaged:
         damage(root / name, how)
     code, out, err = run_main(capsys, *args,
                               ":".join(str(r) for r in copies))
+    skipped = [line for line in err.splitlines()
+               if line.startswith("warning: skipped replica ")]
+    present = [] if how in ("missing", "another-build") else damaged
+    assert len(skipped) == len(present)
+    for line, root in zip(skipped, present):
+        assert line.startswith(f"warning: skipped replica {root / name}: ")
     if roots == "first":
         assert (code, out) == (0, intact)
         assert "error:" not in err
         return
     assert code == (3 if name == "class_1.wts" else 1)
     assert sum("error:" in line for line in (out + err).splitlines()) == 1
+    assert UNAVAILABLE[name] in err.splitlines()
     assert "Traceback" not in err
 
 
@@ -849,6 +887,37 @@ def test_evaluate_rejects_an_eigenspace_of_other_inputs(tmp_path, capsys):
     assert captured.out == ""
     assert "error: stored eigenspace was built from other inputs" \
         in captured.err
+
+
+@pytest.mark.parametrize("first_m", ["6", "40"])
+def test_evaluate_keeps_the_first_root_of_two_spaces_of_this_data(
+        tmp_path, capsys, monkeypatch, first_m):
+    # Roots a and b hold spaces of this data at two m's, so neither is of
+    # other inputs: evaluate CRCs the training matrix once, takes a's
+    # space and leaves b out. m = 40 asks for more components than the 8
+    # training vectors give (7 kept); a space keeps the m it was asked for.
+    data = synth(tmp_path)
+    for root, m in (("a", first_m), ("b", "4")):
+        assert run_train(tmp_path, data, str(tmp_path / root),
+                         "--components", m) == 0
+    _, alone, _ = run_main(capsys, "evaluate", "--data", str(data),
+                           "--store", str(tmp_path / "a"))
+    matrices, crc32 = [], zlib.crc32
+
+    def counting(buffer, *start):
+        if isinstance(buffer, np.ndarray):
+            matrices.append(buffer.shape)
+        return crc32(buffer, *start)
+
+    monkeypatch.setattr(zlib, "crc32", counting)
+    code, out, err = run_main(capsys, "evaluate", "--data", str(data),
+                              "--store", store_arg(tmp_path, ("a", "b")))
+    assert (code, out) == (0, alone)
+    assert matrices == [(8, 64)]
+    header = (tmp_path / "a" / "eigenspace.txt").read_bytes().split(b"\n")[0]
+    assert err.splitlines() == [
+        f"warning: left out root {tmp_path / 'b'}: it holds no valid "
+        f"eigenspace.txt of fingerprint {header.split()[3].decode()}"]
 
 
 def two_builds(tmp_path) -> Path:
