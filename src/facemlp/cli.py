@@ -1,12 +1,22 @@
 """Command-line pipeline: synthesize data, train, evaluate.
 
-Exit codes: 0 success, 1 fatal error, 2 invalid configuration,
-3 partial failure (some classes trained/evaluated, some not).
+Exit codes: 0 success, 1 fatal error (a stdout that cannot be written
+included), 2 invalid configuration, 3 partial failure (some classes
+trained/evaluated, some not).
+
+`main(argv)` runs one command and returns its exit code; it is what
+library callers and tests call. `run()` is the process entry, used by the
+`facemlp` script and `python -m facemlp.cli`: after `main` returns it
+freezes the heap with `gc.freeze()`, so the interpreter's final
+collections skip the objects that importing NumPy and this package made,
+memory the OS takes back at exit anyway. Everything else at exit runs as
+before: atexit handlers, the flush of stdio and C destructors.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -107,6 +117,15 @@ def _from_flags(cls, args, **flags):
     return cls(**values)
 
 
+def _write_stdout(text: str) -> None:
+    """Print text and flush it, so that a stdout that cannot take it (a
+    full disk, a closed pipe) fails here, as a FileError, not at exit."""
+    try:
+        print(text, end="", flush=True)
+    except OSError as exc:
+        raise FileError(f"cannot write stdout: {exc}") from None
+
+
 def _warn(message) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -188,7 +207,7 @@ def cmd_synth(args) -> int:
     samples = generate_synthetic(args.classes, args.train, args.test,
                                  args.side, args.seed)
     manifest = write_dataset(samples, Path(args.out))
-    print(f"wrote {len(samples)} images, manifest {manifest}")
+    _write_stdout(f"wrote {len(samples)} images, manifest {manifest}\n")
     return EXIT_OK
 
 
@@ -233,6 +252,9 @@ def cmd_train(args) -> int:
                                 encode_eigenspace(space)).errors:
         _warn(err)
 
+    # Every net and trace is stored before stdout is written, so a
+    # stdout that cannot be written loses none of them.
+    lines = []
     for label, model in trained:
         for err in save(model, store).errors:
             _warn(err)
@@ -240,10 +262,11 @@ def cmd_train(args) -> int:
         status = "goal met" if trace.goal_met else "goal not met"
         if args.mode == "acon":
             status = f"goal {config.goal:g}, {status}"
-        print(f"{label}: epochs={trace.epochs_run} "
-              f"final MSE {trace.final_mse:.6g} ({status})")
+        lines.append(f"{label}: epochs={trace.epochs_run} "
+                     f"final MSE {trace.final_mse:.6g} ({status})\n")
     _write_traces(traces_dir, [(label.replace(" ", "_"), model.trace)
                                for label, model in trained])
+    _write_stdout("".join(lines))
 
     return EXIT_OK if len(trained) == len(nets) else EXIT_PARTIAL
 
@@ -286,7 +309,7 @@ def cmd_evaluate(args) -> int:
         except OSError as exc:
             raise FileError(f"cannot write report {args.out}: {exc}") from exc
     else:
-        print(text, end="")
+        _write_stdout(text)
     return EXIT_PARTIAL if any(r.error for r in report.per_class) else EXIT_OK
 
 
@@ -364,5 +387,23 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG if isinstance(exc, InvalidConfig) else EXIT_FATAL
 
 
+def run() -> int:
+    """The facemlp process: main(), then gc.freeze(), then its exit code.
+
+    A stdout that main could not write still holds its bytes; they go to
+    the null device, so the interpreter's final flush does not fail a
+    second time after main's one error: line.
+    """
+    code = main()
+    try:
+        _write_stdout("")
+    except FileError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

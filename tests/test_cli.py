@@ -1,8 +1,12 @@
+import ast
 import contextlib
 import errno
+import gc
 import io
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import zlib
 from pathlib import Path
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import facemlp
 from facemlp import parallel
 from facemlp.cli import build_parser, main
 from facemlp.errors import FacemlpError
@@ -1030,3 +1035,99 @@ def test_pipeline_reproduces_csv_bit_for_bit(tmp_path):
                      "--format", "csv", "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+# The process entry: `python -m facemlp.cli` and the `facemlp` script.
+
+REPO = Path(__file__).resolve().parent.parent
+CLI_SOURCE = REPO / "src" / "facemlp" / "cli.py"
+
+
+def run_process(argv, env=None, **kwargs):
+    """`python -m facemlp.cli argv` in a child, with this facemlp on its
+    path; env entries set to None are removed from its environment."""
+    child_env = dict(os.environ,
+                     PYTHONPATH=str(Path(facemlp.__file__).parent.parent))
+    for key, value in (env or {}).items():
+        if value is None:
+            child_env.pop(key, None)
+        else:
+            child_env[key] = value
+    return subprocess.run([sys.executable, "-m", "facemlp.cli", *argv],
+                          env=child_env, timeout=120, **kwargs)
+
+
+def exit_code_case(code, trained, tmp_path) -> list[str]:
+    """argv of a command that exits with code."""
+    data, roots, _ = trained
+    if code == 0:
+        return ["synth", "--out", str(tmp_path / "data"), *DATASET]
+    if code == 1:
+        return ["evaluate", "--data", str(tmp_path / "nowhere"),
+                "--store", store_arg(tmp_path)]
+    if code == 2:
+        return ["synth", "--out", str(tmp_path / "data"), "--classes", "1"]
+    copies = [shutil.copytree(r, tmp_path / r.name) for r in roots]
+    for root in copies:
+        (root / "class_1.wts").unlink()
+    return ["evaluate", "--data", str(data),
+            "--store", ":".join(str(r) for r in copies)]
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_the_process_entry_exits_as_main_returns(trained, tmp_path, capsys,
+                                                 code):
+    argv = exit_code_case(code, trained, tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    done = run_process(argv, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (code, captured.out, captured.err)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(),
+                    reason="needs /dev/full, a device no write fits on")
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_train_to_a_full_stdout_stores_every_net_and_trace(tmp_path,
+                                                           unbuffered):
+    # Unbuffered, the first print fails; buffered, the flush at the end.
+    # Either way every net and trace is stored first, and the one error:
+    # line is all stderr holds: the interpreter's last flush stays quiet.
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--classes", "4", "--train",
+                 "4", "--test", "4", "--side", "8", "--seed", "3"]) == 0
+    argv = ["train", "--data", str(data), *SPEED]
+    assert main([*argv, "--store", store_arg(tmp_path, ("ok",))]) == 0
+    with open("/dev/full", "w") as full:
+        done = run_process([*argv, "--store", store_arg(tmp_path, ("full",))],
+                           env={"PYTHONUNBUFFERED": unbuffered},
+                           stdout=full, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: cannot write stdout: ")
+    assert done.stderr.count("\n") == 1
+
+    def tree(root: Path) -> dict:
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+    assert len(tree(tmp_path / "ok")) == 4 + 1 + 4   # nets, space, traces
+    assert tree(tmp_path / "full") == tree(tmp_path / "ok")
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    synth(tmp_path)
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_script_runs_the_entry_of_python_m():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as f:
+        script = tomllib.load(f)["project"]["scripts"]["facemlp"]
+    [block] = [node for node in ast.parse(CLI_SOURCE.read_text()).body
+               if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [call] = [ast.unparse(node.args[0]) for node in ast.walk(block)
+              if isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "sys.exit"]
+    assert script == f"facemlp.cli:{call.removesuffix('()')}"
+    assert script != "facemlp.cli:main"
